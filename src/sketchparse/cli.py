@@ -49,7 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--train", required=True, dest="train_file")
     train.add_argument("--dev", required=True, dest="dev_file")
     train.add_argument("--out", required=True, help="model directory")
-    train.add_argument("--epochs", type=int, default=10)
+    train.add_argument(
+        "--epochs", type=int, default=10,
+        help="most multitask epochs; stops once dev joint accuracy is 1.0",
+    )
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--hidden", type=int, default=64)
     train.add_argument("--loss-weights", default="1,2", help="sketch,labeling loss weights")

@@ -162,27 +162,43 @@ def pair_loss_grads(
     pairs: Sequence[tuple[np.ndarray, np.ndarray, int]],
     grads: dict[str, np.ndarray],
 ) -> float:
-    """Mean cross-entropy over (qp ids, lfp ids, label) pairs; accumulates grads."""
+    """Mean cross-entropy over (qp ids, lfp ids, label) pairs; accumulates grads.
+
+    The batch's 2n patterns form a bag matrix (entries 1/len), so the mean
+    embeddings are ``bag @ embedding`` and the embedding gradient is
+    ``bag.T @ d_mean``.
+    """
+    n = len(pairs)
+    if n == 0:
+        return 0.0
     emb = model.encoder.embedding
-    total = 0.0
-    for a_ids, b_ids, label in pairs:
-        a = emb[a_ids].mean(axis=0)
-        b = emb[b_ids].mean(axis=0)
-        diff = a - b
-        feats = np.concatenate([a, b, np.abs(diff), a * b])
-        loss, d_logits = learn.softmax_cross_entropy(
-            model.head.weight @ feats + model.head.bias, label
-        )
-        total += loss
-        grads["head_w"] += np.outer(d_logits, feats)
-        grads["head_b"] += d_logits
-        d_feats = model.head.weight.T @ d_logits
-        h = len(a)
-        d_a = d_feats[:h] + np.sign(diff) * d_feats[2 * h : 3 * h] + b * d_feats[3 * h :]
-        d_b = d_feats[h : 2 * h] - np.sign(diff) * d_feats[2 * h : 3 * h] + a * d_feats[3 * h :]
-        np.add.at(grads["embedding"], a_ids, d_a[None, :] / len(a_ids))
-        np.add.at(grads["embedding"], b_ids, d_b[None, :] / len(b_ids))
-    n = max(1, len(pairs))
+    a_ids, b_ids, labels = zip(*pairs)
+    seqs = a_ids + b_ids
+    lengths = np.array([len(ids) for ids in seqs])
+    bag = np.zeros((2 * n, len(emb)))
+    np.add.at(
+        bag,
+        (np.repeat(np.arange(2 * n), lengths), np.concatenate(seqs)),
+        np.repeat(1.0 / lengths, lengths),
+    )
+    means = bag @ emb
+    a, b = means[:n], means[n:]
+    diff = a - b
+    feats = np.concatenate([a, b, np.abs(diff), a * b], axis=1)
+    logits = feats @ model.head.weight.T + model.head.bias
+    labels = np.array(labels)
+    rows = np.arange(n)
+    total = -float(learn.log_softmax(logits)[rows, labels].sum())
+    d_logits = learn.softmax(logits)
+    d_logits[rows, labels] -= 1.0
+    grads["head_w"] += d_logits.T @ feats
+    grads["head_b"] += d_logits.sum(axis=0)
+    d_feats = d_logits @ model.head.weight
+    h = emb.shape[1]
+    sign = np.sign(diff)
+    d_a = d_feats[:, :h] + sign * d_feats[:, 2 * h : 3 * h] + b * d_feats[:, 3 * h :]
+    d_b = d_feats[:, h : 2 * h] - sign * d_feats[:, 2 * h : 3 * h] + a * d_feats[:, 3 * h :]
+    grads["embedding"] += bag.T @ np.concatenate([d_a, d_b])
     for g in grads.values():
         g /= n
     return total / n
@@ -232,14 +248,26 @@ def ranking_resample(
     hard_count: int = 20,
     easy_count: int = 5,
     threshold: float = 1e-4,
+    scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] | None = None,
 ) -> list[PatternPairSample]:
     """Per question: rescore its negative pool with ``model`` and keep the
-    ranking-sampled picks, labeled 0."""
+    ranking-sampled picks, labeled 0.
+
+    ``scores`` memoises ``score_pair`` by (question pattern, negative) tokens;
+    pass the same dict only to calls with the same, unchanged ``model``.
+    """
     if isinstance(rng, int):
         rng = random.Random(rng)
+    if scores is None:
+        scores = {}
     out: list[PatternPairSample] = []
     for qp, cls, _gold, negatives in pool:
-        scored = [(neg, score_pair(qp.tokens, neg.tokens, model)) for neg in negatives]
+        scored = []
+        for neg in negatives:
+            key = (qp.tokens, neg.tokens)
+            if key not in scores:
+                scores[key] = score_pair(qp.tokens, neg.tokens, model)
+            scored.append((neg, scores[key]))
         for neg in select_by_rank(scored, rng, hard_count, easy_count, threshold):
             out.append(PatternPairSample(qp=qp, lfp=neg, label=0, sketch_class=cls))
     return out
@@ -274,12 +302,18 @@ def _train_pairs_epoch(
 
 
 def _encode_pairs(
-    model: MatcherModel, samples: Iterable[PatternPairSample]
+    vocab: Vocab,
+    samples: Iterable[PatternPairSample],
+    encoded: dict[lf.TokenSeq, np.ndarray],
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    return [
-        (model.vocab.encode(s.qp.tokens), model.vocab.encode(s.lfp.tokens), s.label)
-        for s in samples
-    ]
+    """Id arrays per pair; ``encoded`` memoises each distinct pattern's ids."""
+
+    def ids(tokens: lf.TokenSeq) -> np.ndarray:
+        if tokens not in encoded:
+            encoded[tokens] = vocab.encode(tokens)
+        return encoded[tokens]
+
+    return [(ids(s.qp.tokens), ids(s.lfp.tokens), s.label) for s in samples]
 
 
 def train_matcher_ensemble(
@@ -313,23 +347,23 @@ def train_matcher_ensemble(
         PatternPairSample(qp=qp, lfp=gold, label=1, sketch_class=cls)
         for qp, cls, gold, _ in questions
     ]
-    pos_encoded = _encode_pairs(base, positives)
+    encoded: dict[lf.TokenSeq, np.ndarray] = {}
+    pos_encoded = _encode_pairs(vocab, positives, encoded)
 
     opt = AdamState.for_params(base.params(), lr=cfg.lr, seed=cfg.seed)
     shuffler = np.random.default_rng(cfg.seed + 1)
     neg_rng = random.Random(cfg.seed + 2)
     for epoch in range(cfg.epochs):
         negatives: list[PatternPairSample] = []
-        for qp, cls, gold, pool in questions:
-            chosen = pool if len(pool) <= cfg.negatives else neg_rng.sample(pool, cfg.negatives)
-            negatives.extend(
-                PatternPairSample(qp=qp, lfp=n, label=0, sketch_class=cls) for n in chosen
-            )
-        pairs = pos_encoded + _encode_pairs(base, negatives)
+        for qp, cls, gold, _ in questions:
+            negatives.extend(sample_negatives(qp, cls, gold, index, cfg.negatives, neg_rng))
+        pairs = pos_encoded + _encode_pairs(vocab, negatives, encoded)
         loss = _train_pairs_epoch(base, pairs, opt, shuffler, cfg.batch_size)
         logger.info("matcher base epoch %d: loss %.4f", epoch, loss)
 
     members = [base]
+    # base is fixed from here on, so every refit epoch reuses its scores.
+    base_scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] = {}
     for refit_idx in range(cfg.refits):
         refit = base.clone()
         opt = AdamState.for_params(refit.params(), lr=cfg.lr, seed=cfg.seed + 10 + refit_idx)
@@ -342,8 +376,9 @@ def train_matcher_ensemble(
                 cfg.hard_count,
                 cfg.easy_count,
                 cfg.hard_threshold,
+                scores=base_scores,
             )
-            pairs = pos_encoded + _encode_pairs(refit, resampled)
+            pairs = pos_encoded + _encode_pairs(vocab, resampled, encoded)
             loss = _train_pairs_epoch(refit, pairs, opt, shuffler, cfg.batch_size)
             logger.info("matcher refit %d epoch %d: loss %.4f", refit_idx, epoch, loss)
         members.append(refit)

@@ -32,7 +32,7 @@ class BadLabel(Exception):
 class MultiTaskConfig:
     hidden: int = 64
     window: int = 2
-    epochs: int = 10
+    epochs: int = 10  # upper bound: training stops once dev joint accuracy is 1.0
     batch_size: int = 32
     lr: float = 1e-2
     seed: int = 0
@@ -333,7 +333,8 @@ def dev_metrics(model: MultiTaskModel, corpus: Corpus) -> dict[str, float]:
 def train_multitask(
     train: Corpus, dev: Corpus, cfg: MultiTaskConfig | None = None
 ) -> MultiTaskModel:
-    """Fit the joint model and return the best-dev-joint-accuracy snapshot."""
+    """Fit the joint model and return the best-dev-joint-accuracy snapshot,
+    stopping early once dev joint accuracy reaches 1.0."""
     cfg = cfg or MultiTaskConfig()
     if not train.samples:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -375,6 +376,11 @@ def train_multitask(
         if metrics["joint_acc"] > best_acc:
             best_acc = metrics["joint_acc"]
             best = model.snapshot()
+        if best_acc >= 1.0:
+            # Only a strict improvement replaces the snapshot, so no later
+            # epoch can change the returned model.
+            logger.info("stopping after epoch %d: dev joint accuracy reached 1.0", epoch)
+            break
     model.load_params(best)
     return model
 

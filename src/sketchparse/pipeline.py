@@ -292,22 +292,26 @@ def tune_weights(
     """Exhaustive simplex grid search maximizing dev exact match.
 
     Ties prefer larger w_pattern, then larger w_pe, so the pattern-only corner
-    wins when every weighting is equivalent.
+    wins when every weighting is equivalent. Each pack is scored at every grid
+    point at once and picks the same top candidate as ``_top_candidate``.
     """
     if not dev_packs:
         raise EmptyCorpus("cannot tune fusion weights without scored dev samples")
-    best: tuple[tuple[float, float, float], FusionWeights] | None = None
-    for weights in grid_points(step):
-        hits = sum(
-            1
-            for gold, pack in dev_packs
-            if pack and _top_candidate(pack, weights) == gold
-        )
-        key = (hits / len(dev_packs), weights.w_pattern, weights.w_pe)
-        if best is None or key > best[0]:
-            best = (key, weights)
-    assert best is not None
-    return best[1]
+    points = grid_points(step)
+    w = np.array([[p.w_pattern, p.w_pe, p.w_gen] for p in points])
+    hits = np.zeros(len(points), dtype=np.int64)
+    for gold, pack in dev_packs:
+        if not pack:
+            continue
+        # argmax takes the first maximum, so order ties as _top_candidate does.
+        ordered = sorted(pack, key=lambda c: (-c[4], " ".join(c[0])))
+        scores = np.array([c[1:4] for c in ordered], dtype=np.float64)
+        # Elementwise in _top_candidate's order, so the fused floats are equal.
+        fused = w[:, :1] * scores[:, 0] + w[:, 1:2] * scores[:, 1] + w[:, 2:] * scores[:, 2]
+        is_gold = np.array([c[0] == gold for c in ordered])
+        hits += is_gold[fused.argmax(axis=1)]
+    best = max(range(len(points)), key=lambda k: (hits[k], points[k].w_pattern, points[k].w_pe))
+    return points[best]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from sketchparse.matchers import (
     select_by_rank,
     train_matcher_ensemble,
 )
+from tests import oracles
 from tests.test_learn import assert_close_grads, central_difference
 
 BIRTH_SAMPLE = make_sample(
@@ -120,6 +121,14 @@ class TestSampleNegatives:
         assert len(set(tokens)) == 6
 
 
+def off_the_abs_kink(model, pair, margin=1e-3):
+    """|mean(a) - mean(b)| has a kink at 0, and central differences with step
+    1e-4 straddle it when a coordinate of the difference is that close."""
+    emb = model.encoder.embedding
+    a_ids, b_ids, _ = pair
+    return np.abs(emb[a_ids].mean(axis=0) - emb[b_ids].mean(axis=0)).min() > margin
+
+
 class TestScorePair:
     def test_zero_model_scores_half(self):
         vocab = Vocab.build([["a", "b"]])
@@ -147,7 +156,10 @@ class TestScorePair:
                     rng.integers(2, 6, size=int(rng.integers(1, 4))),
                     int(rng.integers(0, 2)),
                 )
+                for _ in range(int(rng.integers(1, 7)))  # ragged batches
             ]
+            pairs.append((np.array([2, 2, 3]), np.array([4]), 1))  # a repeated id
+            pairs = [pair for pair in pairs if off_the_abs_kink(model, pair)]
             params = model.params()
             grads = {k: np.zeros_like(v) for k, v in params.items()}
             pair_loss_grads(model, pairs, grads)
@@ -158,6 +170,40 @@ class TestScorePair:
                 params,
             )
             assert_close_grads(grads, numeric)
+
+
+def zero_grads(model):
+    return {k: np.zeros_like(v) for k, v in model.params().items()}
+
+
+IDS = st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=8)
+
+
+class TestBatchedPairLoss:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(IDS, IDS, st.integers(0, 1)), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_pair_loop(self, raw_pairs, seed):
+        rng = np.random.default_rng(seed)
+        vocab = Vocab.build([[f"t{i}" for i in range(10)]])
+        model = init_matcher(vocab, MatcherConfig(hidden=5))
+        model.encoder.embedding = rng.normal(size=model.encoder.embedding.shape)
+        model.head.weight = rng.normal(size=model.head.weight.shape)
+        model.head.bias = rng.normal(size=model.head.bias.shape)
+        pairs = [(np.array(a), np.array(b), label) for a, b, label in raw_pairs]
+        batched, looped = zero_grads(model), zero_grads(model)
+        loss = pair_loss_grads(model, pairs, batched)
+        assert abs(loss - oracles.pair_loss_grads(model, pairs, looped)) <= 1e-12
+        for name, grad in looped.items():
+            assert np.max(np.abs(batched[name] - grad)) <= 1e-12, name
+
+    def test_empty_batch_is_free(self):
+        model = init_matcher(Vocab.build([["a"]]), MatcherConfig(hidden=3))
+        grads = zero_grads(model)
+        assert pair_loss_grads(model, [], grads) == 0.0
+        assert all(not g.any() for g in grads.values())
 
 
 class TestRankingSampling:
@@ -200,6 +246,21 @@ class TestRankingSampling:
         assert len(out) == 20
         assert all(s.label == 0 and s.sketch_class == "cls" for s in out)
 
+    def test_shared_scores_are_kept_per_question_pattern(self):
+        vocab = Vocab.build([["q", "r", "x", "y", "0", "1", "2"]])
+        model = init_matcher(vocab, MatcherConfig(hidden=4, seed=0))
+        model.head.weight = np.random.default_rng(5).normal(size=model.head.weight.shape)
+        negatives = [pattern("x", str(i)) for i in range(3)]
+        pool = [
+            (lf.QuestionPattern((q,)), "cls", pattern("y"), negatives) for q in ("q", "r")
+        ]
+        kwargs = dict(hard_count=1, easy_count=1, threshold=0.5)
+        scores = {}
+        first = ranking_resample(model, pool, 3, **kwargs, scores=scores)
+        assert len(scores) == 6
+        assert ranking_resample(model, pool, 3, **kwargs, scores=scores) == first
+        assert ranking_resample(model, pool, 3, **kwargs) == first
+
 
 @pytest.fixture(scope="module")
 def trained_matcher(small_splits):
@@ -210,6 +271,34 @@ def trained_matcher(small_splits):
 
 
 class TestMatcherTraining:
+    def test_memoised_resample_matches_rescoring(self, small_splits, monkeypatch):
+        train, dev, _ = small_splits
+        index = build_pattern_index(train)
+        cfg = MatcherConfig(epochs=1, refit_epochs=2, refits=2, seed=0)
+        scored = []  # the (question pattern, negative) of every score_pair call
+        score_pair = matchers.score_pair
+        monkeypatch.setattr(
+            matchers, "score_pair", lambda *args: scored.append(args[:2]) or score_pair(*args)
+        )
+        memoised = train_matcher_ensemble(train, dev, index, cfg)
+        memo_scored = list(scored)
+
+        ranking_resample = matchers.ranking_resample
+        monkeypatch.setattr(
+            matchers,
+            "ranking_resample",
+            lambda *args, scores=None, **kwargs: ranking_resample(*args, **kwargs),
+        )
+        scored.clear()
+        rescored = train_matcher_ensemble(train, dev, index, cfg)
+        # Memoised: each distinct pair once; rescoring: every pair in all 4 calls.
+        assert len(memo_scored) == len(set(memo_scored)) > 0
+        assert set(memo_scored) == set(scored)
+        assert 4 * len(memo_scored) <= len(scored)
+        for mine, theirs in zip(memoised.members, rescored.members, strict=True):
+            for name, value in mine.params().items():
+                assert np.array_equal(value, theirs.params()[name]), name
+
     def test_base_plus_refits_gives_three_members(self, trained_matcher):
         ensemble, _, _, _ = trained_matcher
         assert len(ensemble.members) == 3

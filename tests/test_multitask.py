@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +258,18 @@ class TestTraining:
         first = dev_metrics(train_multitask(train, dev, cfg), dev)
         second = dev_metrics(train_multitask(train, dev, cfg), dev)
         assert first == second
+
+    def test_stops_once_dev_joint_accuracy_is_saturated(self, small_splits, caplog):
+        train, dev, _ = small_splits
+        # Small batches and a larger step reach dev joint accuracy 1.0 in epoch 0.
+        cfg = MultiTaskConfig(epochs=1, seed=0, batch_size=8, lr=0.03)
+        one = train_multitask(train, dev, cfg)
+        assert dev_metrics(one, dev)["joint_acc"] == 1.0
+        with caplog.at_level(logging.INFO, logger=multitask.__name__):
+            ten = train_multitask(train, dev, replace(cfg, epochs=10))
+        assert "stopping after epoch 0" in caplog.text
+        for name, value in one.params().items():
+            assert np.array_equal(value, ten.params()[name]), name
 
     def test_trained_classifies_reference_question(self, trained):
         model, _, _ = trained

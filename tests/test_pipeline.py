@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchparse import lf, pipeline
 from sketchparse.data import EmptyCorpus
@@ -32,6 +34,7 @@ from sketchparse.pipeline import (
     train_system,
     tune_weights,
 )
+from tests import oracles
 
 SINGLE_RELATION = "( lambda ?x ( P1 E1 ?x ) )"
 BIRTH_TEMPLATE = lf.LfTemplate(
@@ -203,6 +206,12 @@ class TestRank:
             FusionWeights(-0.1, 0.6, 0.5)
 
 
+# Few distinct forms, scores and frequencies, so fused scores tie often.
+FORMS = st.sampled_from([("a",), ("b",), ("a", "b"), ("a b",), ("b", "a")])
+TIED_SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+PACKED = st.tuples(FORMS, TIED_SCORES, TIED_SCORES, TIED_SCORES, st.integers(1, 3))
+
+
 class TestTuneWeights:
     def test_grid_has_231_points(self):
         assert len(grid_points(0.05)) == 231
@@ -230,6 +239,11 @@ class TestTuneWeights:
     def test_empty_dev_rejected(self):
         with pytest.raises(EmptyCorpus):
             tune_weights([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(FORMS, st.lists(PACKED, max_size=6)), min_size=1, max_size=8))
+    def test_matches_per_point_loop_on_ties(self, packs):
+        assert tune_weights(packs) == oracles.tune_weights(packs)
 
 
 def outcome(
