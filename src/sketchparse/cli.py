@@ -15,6 +15,7 @@ from pathlib import Path
 from . import data, lf, pipeline
 from .data import CorpusError, GenConfig
 from .genscore import EmptyCandidate
+from .learn import UnsupportedCheckpoint
 from .matchers import sample_pattern_pair
 from .multitask import MultiTaskConfig
 
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, lf.LfError, EmptyCandidate) as exc:
+    except (CorpusError, lf.LfError, EmptyCandidate, UnsupportedCheckpoint) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except FileNotFoundError as exc:

@@ -43,14 +43,32 @@ def split_logical_form(tokens: Sequence[str]) -> list[str]:
     return out
 
 
+def split_pool(pool: Sequence[Sequence[str]]) -> list[list[str]]:
+    """``split_logical_form`` of every candidate, splitting each distinct
+    token of the pool once."""
+    words: dict[str, list[str]] = {}
+    out = []
+    for tokens in pool:
+        split: list[str] = []
+        for tok in tokens:
+            if tok not in words:
+                words[tok] = split_logical_form((tok,))
+            split.extend(words[tok])
+        out.append(split)
+    return out
+
+
 @dataclass
 class ClassStats:
     """Smoothed bigram counts over the split logical forms of one sketch class."""
 
     bigram: dict[str, dict[str, int]] = field(default_factory=dict)
     vocab: dict[str, None] = field(default_factory=dict)  # insertion-ordered set
+    # Row key -> sum of the row's counts, filled on first use.
+    _totals: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def observe(self, words: Sequence[str]) -> None:
+        self._totals.clear()
         prev = BOS
         for w in words:
             self.vocab.setdefault(w, None)
@@ -58,13 +76,20 @@ class ClassStats:
             row[w] = row.get(w, 0) + 1
             prev = w
 
+    def counts(self, word: str, prev: str) -> tuple[int, int]:
+        """(count of word after prev, total count of prev's row); words outside
+        the class vocabulary count 0 and an unknown prev reads the unknown row."""
+        key = prev if prev in self.vocab or prev == BOS else UNK_WORD
+        row = self.bigram.get(key, {})
+        total = self._totals.get(key)
+        if total is None:
+            total = self._totals[key] = sum(row.values())
+        return (row.get(word, 0) if word in self.vocab else 0), total
+
     def prob(self, word: str, prev: str, alpha: float) -> float:
         """Additively smoothed over the class vocabulary plus an unknown slot."""
-        size = len(self.vocab) + 1
-        row = self.bigram.get(prev if prev in self.vocab or prev == BOS else UNK_WORD, {})
-        count = row.get(word, 0) if word in self.vocab else 0
-        total = sum(row.values())
-        return (count + alpha) / (total + alpha * size)
+        count, total = self.counts(word, prev)
+        return (count + alpha) / (total + alpha * (len(self.vocab) + 1))
 
 
 @dataclass(frozen=True)
@@ -154,17 +179,50 @@ def gen_scores(
     sketch_class: str,
     candidates_split: Sequence[Sequence[str]],
 ) -> list[float]:
-    """Mean over members of each member's normalized scores for the pool."""
-    if not candidates_split:
+    """Mean over members of each member's normalized scores for the pool.
+
+    One pass over the pool's words collects its distinct (previous word, word)
+    steps; each step's bigram count, row total and copy probability are looked
+    up once, and every member's ``seq_loss`` of every candidate follows as
+    array operations in the same arithmetic.
+    """
+    if not candidates_split or not model.members:
         return []
     stats = model.stats_for(sketch_class)
-    per_member = []
-    for member in model.members:
-        losses = [
-            seq_loss(question_tokens, words, stats, member.lam, member.alpha)
-            for words in candidates_split
+    step_ids: dict[tuple[str, str], int] = {}
+    steps, positions, lengths = [], [], []
+    for words in candidates_split:
+        if not words:
+            raise EmptyCandidate("cannot score an empty candidate")
+        prev = BOS
+        for w in words:
+            steps.append(step_ids.setdefault((prev, w), len(step_ids)))
+            prev = w
+        positions.extend(range(len(words)))
+        lengths.append(len(words))
+
+    n_q = len(question_tokens)
+    q_counts: dict[str, int] = {}
+    for tok in question_tokens:
+        q_counts[tok] = q_counts.get(tok, 0) + 1
+    table = np.array(
+        [
+            (*stats.counts(w, prev), q_counts.get(w, 0) / n_q if n_q else 0.0)
+            for prev, w in step_ids
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AllZeroLosses)
-            per_member.append(normalize_losses(losses))
-    return [float(np.mean(col)) for col in zip(*per_member)]
+    )
+    count, total, copy = table.T
+    lam = np.array([[m.lam] for m in model.members])
+    alpha = np.array([[m.alpha] for m in model.members])
+    bigram = (count + alpha) / (total + alpha * (len(stats.vocab) + 1))
+    nll = -np.log(lam * copy + (1.0 - lam) * bigram)  # (members, distinct steps)
+    # Step j of candidate i goes to row j, column i; summing over the rows adds
+    # each candidate's terms one after another, as seq_loss does.
+    padded = np.zeros((len(model.members), max(lengths), len(lengths)))
+    padded[:, positions, np.repeat(np.arange(len(lengths)), lengths)] = nll[:, steps]
+    losses = padded.sum(axis=1) / np.array(lengths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AllZeroLosses)
+        scores = np.array([normalize_losses(row) for row in losses.tolist()])
+    # Members along the contiguous axis: np.mean adds them as it does a list.
+    return scores.T.copy().mean(axis=1).tolist()

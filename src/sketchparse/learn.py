@@ -205,6 +205,10 @@ def step(
 CHECKPOINT_VERSION = 1
 
 
+class UnsupportedCheckpoint(Exception):
+    """A checkpoint written in a format_version this code does not read."""
+
+
 def save_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
     np.savez(path, **{k: np.asarray(v) for k, v in arrays.items()})
 

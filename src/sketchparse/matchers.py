@@ -32,6 +32,16 @@ class PatternEntry:
     pattern: lf.LfPattern
     template: lf.LfTemplate
     freq: int = 1
+    # The template's value and type slots, found once when the entry is built.
+    value_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    type_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tokens = self.template.tokens
+        self.value_positions = tuple(lf.numeric_positions(tokens))
+        self.type_positions = tuple(
+            i for i in lf.isa_argument_positions(tokens) if not lf.is_entity_slot(tokens[i])
+        )
 
 
 @dataclass
@@ -276,11 +286,32 @@ def ranking_resample(
 @dataclass
 class MatcherEnsemble:
     members: list[MatcherModel]
+    # LF pattern tokens -> (members, hidden) mean embeddings, filled as pools
+    # are scored; members must not change once scoring has begun.
+    _pattern_means: dict[lf.TokenSeq, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def score(self, qp_tokens: Sequence[str], lfp_tokens: Sequence[str]) -> float:
-        return float(
-            np.mean([score_pair(qp_tokens, lfp_tokens, m) for m in self.members])
-        )
+    def score(self, qp_tokens: Sequence[str], pool: Sequence[lf.TokenSeq]) -> np.ndarray:
+        """Mean over members of ``score_pair`` for the question pattern against
+        each LF pattern of the pool, one array operation per member."""
+        if not pool:
+            return np.zeros(0)
+        memo = self._pattern_means
+        for tokens in pool:
+            if tokens not in memo:
+                memo[tokens] = np.stack(
+                    [learn.encode_sentence(m.vocab.encode(tokens), m.encoder) for m in self.members]
+                )
+        means = np.stack([memo[tokens] for tokens in pool], axis=1)  # (members, pool, h)
+        probs = np.empty((len(pool), len(self.members)))
+        for k, member in enumerate(self.members):
+            a = learn.encode_sentence(member.vocab.encode(qp_tokens), member.encoder)
+            b = means[k]
+            feats = np.concatenate([np.broadcast_to(a, b.shape), b, np.abs(a - b), a * b], axis=1)
+            logits = feats @ member.head.weight.T + member.head.bias
+            probs[:, k] = learn.softmax(logits, axis=1)[:, 1]
+        return probs.mean(axis=1)
 
 
 def _train_pairs_epoch(
@@ -391,17 +422,15 @@ def pattern_ranking_accuracy(
     """Fraction of samples whose gold pattern outranks all same-class patterns."""
     if not corpus.samples:
         return 0.0
-    score = scorer.score if isinstance(scorer, MatcherEnsemble) else (
-        lambda a, b: score_pair(a, b, scorer)
-    )
+    ensemble = scorer if isinstance(scorer, MatcherEnsemble) else MatcherEnsemble([scorer])
     hits = 0
     for sample in corpus:
         qp, gold = sample_pattern_pair(sample)
-        entries = index.patterns(sample.sketch_class)
-        if not any(e.pattern.tokens == gold.tokens for e in entries):
+        patterns = [e.pattern.tokens for e in index.patterns(sample.sketch_class)]
+        if gold.tokens not in patterns:
             continue
         scored = sorted(
-            ((score(qp.tokens, e.pattern.tokens), e.pattern.tokens) for e in entries),
+            zip(ensemble.score(qp.tokens, patterns).tolist(), patterns),
             key=lambda pair: (-pair[0], pair[1]),
         )
         hits += scored[0][1] == gold.tokens
@@ -427,6 +456,10 @@ class CooccurrenceModel:
     pred_counts: dict[str, int]
     ent_counts: dict[str, int]
     head: LinearHead  # (2, 5) over count features
+    # Memo of pair_prob for score_candidate_pe; see memo_pair_prob.
+    _pair_probs: dict[tuple[int, int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def pairs(self) -> set[tuple[str, str]]:
         return set(self.pair_counts)
@@ -446,6 +479,20 @@ class CooccurrenceModel:
     def pair_prob(self, predicate: str, entity: str) -> float:
         feats = self.features(predicate, entity)
         return float(learn.softmax(self.head.weight @ feats + self.head.bias)[1])
+
+    def memo_pair_prob(self, predicate: str, entity: str) -> float:
+        """``pair_prob``, memoised by the three counts its features are made
+        of, so the memo stays bounded by the training counts whatever names
+        the candidates carry."""
+        key = (
+            self.pair_counts.get((predicate, entity), 0),
+            self.pred_counts.get(predicate, 0),
+            self.ent_counts.get(entity, 0),
+        )
+        prob = self._pair_probs.get(key)
+        if prob is None:
+            prob = self._pair_probs[key] = self.pair_prob(predicate, entity)
+        return prob
 
 
 def extract_pred_entity_pairs(
@@ -541,4 +588,4 @@ def score_candidate_pe(
     pairs = extract_pred_entity_pairs(tokens, entity_surfaces)
     if not pairs:
         return 0.5
-    return float(np.mean([model.pair_prob(p, e) for p, e in pairs]))
+    return float(np.mean([model.memo_pair_prob(p, e) for p, e in pairs]))

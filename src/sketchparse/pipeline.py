@@ -31,7 +31,11 @@ logger = logging.getLogger(__name__)
 
 
 class NoCandidates(Exception):
-    pass
+    """No candidate fits the question. When raised out of
+    ``generate_candidates`` it carries the first stages' predictions."""
+
+    sketch_class: str = ""
+    spans: Sequence[tuple[int, int]] = ()
 
 
 @dataclass(frozen=True)
@@ -157,24 +161,18 @@ def generate_candidates_from(
         template = entry.template
         if template.entity_arity != len(entity_fillers):
             continue
-        value_positions = lf.numeric_positions(template.tokens)
-        type_positions = [
-            i
-            for i in lf.isa_argument_positions(template.tokens)
-            if not lf.is_entity_slot(template.tokens[i])
-        ]
-        if len(value_positions) != len(value_fillers):
+        if len(entry.value_positions) != len(value_fillers):
             continue
-        if len(type_positions) != len(type_fillers):
+        if len(entry.type_positions) != len(type_fillers):
             continue
         try:
             form = lf.substitute_template(template, entity_fillers)
         except lf.ArityMismatch:
             continue
         tokens = list(form.tokens)
-        for pos, filler in zip(value_positions, value_fillers):
+        for pos, filler in zip(entry.value_positions, value_fillers):
             tokens[pos] = filler
-        for pos, filler in zip(type_positions, type_fillers):
+        for pos, filler in zip(entry.type_positions, type_fillers):
             tokens[pos] = filler
         key = tuple(tokens)
         if key not in seen:
@@ -198,7 +196,11 @@ def generate_candidates(
     probs = multitask.classify_sketch(question_tokens, model)
     sketch_class = model.classes[int(np.argmax(probs))]
     spans = multitask.predict_spans(question_tokens, model)
-    candidates, qp = generate_candidates_from(question_tokens, sketch_class, spans, index)
+    try:
+        candidates, qp = generate_candidates_from(question_tokens, sketch_class, spans, index)
+    except NoCandidates as exc:
+        exc.sketch_class, exc.spans = sketch_class, spans
+        raise
     return candidates, qp, sketch_class, spans
 
 
@@ -225,26 +227,26 @@ def score_components(
     sketch_class: str,
     candidates: Sequence[Candidate],
 ) -> list[ScoredCandidate]:
-    """Attach the three component scores; fusion happens in rank()."""
+    """Attach the three component scores, each computed for the whole pool;
+    fusion happens in rank()."""
     gen = genscore.gen_scores(
         system.gen,
         question_tokens,
         sketch_class,
-        [genscore.split_logical_form(c.tokens) for c in candidates],
+        genscore.split_pool([c.tokens for c in candidates]),
     )
-    scored = []
-    for cand, g in zip(candidates, gen):
-        scored.append(
-            ScoredCandidate(
-                candidate=cand,
-                pattern_score=system.matcher.score(qp.tokens, cand.pattern.tokens),
-                pe_score=matchers.score_candidate_pe(
-                    cand.tokens, cand.entity_fillers, system.cooccurrence
-                ),
-                gen_score=g,
-            )
+    pattern = system.matcher.score(qp.tokens, [c.pattern.tokens for c in candidates]).tolist()
+    return [
+        ScoredCandidate(
+            candidate=cand,
+            pattern_score=ps,
+            pe_score=matchers.score_candidate_pe(
+                cand.tokens, cand.entity_fillers, system.cooccurrence
+            ),
+            gen_score=g,
         )
-    return scored
+        for cand, ps, g in zip(candidates, pattern, gen)
+    ]
 
 
 def rank(scored: Sequence[ScoredCandidate], weights: FusionWeights) -> list[ScoredCandidate]:
@@ -446,10 +448,9 @@ def analyze_sample(system: ParserSystem, sample: Sample) -> SampleOutcome:
         candidates, qp, pred_class, spans = generate_candidates(
             sample.question_tokens, system.multitask, system.index
         )
-    except NoCandidates:
-        probs = multitask.classify_sketch(sample.question_tokens, system.multitask)
-        outcome.pred_class = system.multitask.classes[int(np.argmax(probs))]
-        outcome.pred_spans = multitask.predict_spans(sample.question_tokens, system.multitask)
+    except NoCandidates as exc:
+        outcome.pred_class = exc.sketch_class
+        outcome.pred_spans = exc.spans
         outcome.no_candidates = True
         return outcome
     outcome.pred_class = pred_class
@@ -477,20 +478,29 @@ def predict(question: str, system: ParserSystem) -> str:
     return result["predicted_logical_form"]
 
 
+def _no_prediction(diagnostic: str) -> dict:
+    return {
+        "predicted_logical_form": "",
+        "sketch_class": "",
+        "spans": [],
+        "candidates": [],
+        "diagnostic": diagnostic,
+    }
+
+
 def predict_detailed(question: str, system: ParserSystem) -> dict:
-    tokens = lf.tokenize_question(question)
+    """The ranked candidates with their scores, or an empty prediction with a
+    diagnostic when the question is blank or no candidate fits."""
+    try:
+        tokens = lf.tokenize_question(question)
+    except lf.EmptyInput as exc:
+        return _no_prediction(str(exc))
     try:
         candidates, qp, pred_class, spans = generate_candidates(
             tokens, system.multitask, system.index
         )
     except NoCandidates as exc:
-        return {
-            "predicted_logical_form": "",
-            "sketch_class": "",
-            "spans": [],
-            "candidates": [],
-            "diagnostic": str(exc),
-        }
+        return _no_prediction(str(exc))
     ranked = rank(
         score_components(system, tokens, qp, pred_class, candidates), system.weights
     )
@@ -666,6 +676,12 @@ def _config_from_dict(raw: dict) -> SystemConfig:
 def load_system(model_dir: str | Path) -> ParserSystem:
     model_dir = Path(model_dir)
     manifest = learn.load_json(model_dir / MANIFEST_NAME)
+    version = manifest.get("format_version")
+    if version != learn.CHECKPOINT_VERSION:
+        raise learn.UnsupportedCheckpoint(
+            f"{model_dir / MANIFEST_NAME}: format_version {version!r}, "
+            f"this version reads {learn.CHECKPOINT_VERSION}"
+        )
     arrays = learn.load_arrays(model_dir / ARRAYS_NAME)
     cfg = _config_from_dict(manifest["config"])
 

@@ -4,12 +4,13 @@ run, kept here so that a fast path can be shown equal to them."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import warnings
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchparse import learn, pipeline
-from sketchparse.matchers import MatcherModel
+from sketchparse import genscore, learn, matchers, pipeline
+from sketchparse.matchers import CooccurrenceModel, MatcherEnsemble, MatcherModel
 from sketchparse.pipeline import FusionWeights
 
 
@@ -57,3 +58,46 @@ def tune_weights(dev_packs, step: float = 0.05) -> FusionWeights:
         if best is None or key > best[0]:
             best = (key, weights)
     return best[1]
+
+
+def ensemble_score(
+    ensemble: MatcherEnsemble, qp_tokens: Sequence[str], pool: Sequence[Sequence[str]]
+) -> list[float]:
+    """Pair by pair: the mean over members of score_pair."""
+    return [
+        float(np.mean([matchers.score_pair(qp_tokens, p, m) for m in ensemble.members]))
+        for p in pool
+    ]
+
+
+def gen_scores(
+    model: genscore.GenModel,
+    question_tokens: Sequence[str],
+    sketch_class: str,
+    candidates_split: Sequence[Sequence[str]],
+) -> list[float]:
+    """Candidate by candidate: each member's seq_loss, normalized per member,
+    then averaged over members."""
+    if not candidates_split:
+        return []
+    stats = model.stats_for(sketch_class)
+    per_member = []
+    for member in model.members:
+        losses = [
+            genscore.seq_loss(question_tokens, words, stats, member.lam, member.alpha)
+            for words in candidates_split
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", genscore.AllZeroLosses)
+            per_member.append(genscore.normalize_losses(losses))
+    return [float(np.mean(col)) for col in zip(*per_member)]
+
+
+def score_candidate_pe(
+    tokens: Sequence[str], entity_surfaces: Iterable[str], model: CooccurrenceModel
+) -> float:
+    """Unmemoised: the mean of pair_prob over the candidate's pairs, 0.5 without pairs."""
+    pairs = matchers.extract_pred_entity_pairs(tokens, entity_surfaces)
+    if not pairs:
+        return 0.5
+    return float(np.mean([model.pair_prob(p, e) for p, e in pairs]))

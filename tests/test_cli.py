@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -85,6 +86,24 @@ class TestTrainPredictEvaluate:
         hits = sum(r["predicted_logical_form"] == r["logical_form"] for r in records)
         assert hits / len(records) >= 0.9
 
+    def test_blank_questions_get_a_diagnostic(self, workspace, tmp_path):
+        _, data_dir, model_dir = workspace
+        question = load_jsonl(data_dir / "test.jsonl").samples[0].question
+        in_path, out_path = tmp_path / "blank.jsonl", tmp_path / "blank_pred.jsonl"
+        in_path.write_text(
+            "".join(json.dumps({"question": q}) + "\n" for q in ("", "   ", question))
+        )
+        rc = cli.main(
+            ["predict", "--model", str(model_dir), "--input", str(in_path), "--out", str(out_path)]
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert len(records) == 3
+        for record in records[:2]:
+            assert record["predicted_logical_form"] == ""
+            assert record["candidates"] == [] and record["diagnostic"]
+        assert records[2]["predicted_logical_form"] and "diagnostic" not in records[2]
+
     def test_evaluate_writes_report(self, workspace, tmp_path):
         _, data_dir, model_dir = workspace
         report_path = tmp_path / "report.json"
@@ -154,6 +173,24 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    def test_other_checkpoint_version_is_two(self, workspace, tmp_path, capsys):
+        _, data_dir, model_dir = workspace
+        edited = tmp_path / "model_v99"
+        shutil.copytree(model_dir, edited)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["format_version"] = 99
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(edited),
+                "--input", str(data_dir / "test.jsonl"),
+                "--out", str(tmp_path / "out.jsonl"),
+            ]
+        )
+        assert rc == 2
+        assert "format_version 99" in capsys.readouterr().err
 
     def test_bad_sample_json_is_two(self):
         assert cli.main(["inspect", "--sample", "{broken"]) == 2

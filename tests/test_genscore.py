@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchparse.data import Corpus, EmptyCorpus
@@ -14,12 +14,15 @@ from sketchparse.genscore import (
     ClassStats,
     EmptyCandidate,
     GenMemberConfig,
+    GenModel,
     fit_genmodel,
     gen_scores,
     normalize_losses,
     seq_loss,
     split_logical_form,
+    split_pool,
 )
+from tests import oracles
 
 BIRTH_TOKENS = tuple(
     "( lambda ?x ( mso:people.person.date_of_birth chris_pine ?x ) )".split()
@@ -135,6 +138,58 @@ class TestNormalizeLosses:
             normalize_losses([])
         with pytest.raises(ValueError):
             normalize_losses([-1.0])
+
+
+# Words of a small class vocabulary plus two it never saw.
+SEEN_WORD = st.sampled_from(["a", "b", "c", "d", "e", "?x", "3"])
+WORD = st.one_of(SEEN_WORD, st.sampled_from(["unseen_1", "unseen_2"]))
+
+
+class TestClassStats:
+    def test_observe_after_prob_clears_cached_totals(self):
+        stats = ClassStats()
+        stats.observe(["a", "b"])
+        before = stats.prob("b", "a", 0.1)
+        stats.observe(["a", "c"])
+        fresh = ClassStats()
+        fresh.observe(["a", "b"])
+        fresh.observe(["a", "c"])
+        assert stats.prob("b", "a", 0.1) == fresh.prob("b", "a", 0.1) != before
+
+
+class TestPoolScoring:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(SEEN_WORD, min_size=1, max_size=8), max_size=12),
+        st.lists(WORD, max_size=10),
+        st.lists(st.lists(WORD, min_size=1, max_size=12), min_size=1, max_size=60),
+        st.sampled_from(["seen", "unseen"]),
+    )
+    def test_matches_per_candidate_oracle(self, corpus, question, pool, sketch_class):
+        stats = ClassStats()
+        for words in corpus:
+            stats.observe(words)
+        model = GenModel(class_stats={"seen": stats})
+        expected = np.array(oracles.gen_scores(model, question, sketch_class, pool))
+        scores = np.array(gen_scores(model, question, sketch_class, pool))
+        assert scores.shape == expected.shape
+        assert np.max(np.abs(scores - expected)) <= 1e-12
+
+    def test_all_zero_losses_score_one(self):
+        # Empty class statistics and a one-word question: every word has p = 1.
+        model = GenModel(class_stats={})
+        pool = [["a"], ["a", "a"]]
+        assert gen_scores(model, ["a"], "c", pool) == [1.0, 1.0]
+        assert oracles.gen_scores(model, ["a"], "c", pool) == [1.0, 1.0]
+
+    def test_empty_candidate_rejected(self):
+        model = GenModel(class_stats={})
+        with pytest.raises(EmptyCandidate):
+            gen_scores(model, ["a"], "c", [["a"], []])
+
+    def test_split_pool_matches_per_candidate_split(self):
+        pool = [BIRTH_TOKENS, BIRTH_TOKENS[::-1], ("argmore", "3.5", "mso:a.b_c")]
+        assert split_pool(pool) == [split_logical_form(tokens) for tokens in pool]
 
 
 class TestGenModel:

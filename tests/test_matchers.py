@@ -206,6 +206,37 @@ class TestBatchedPairLoss:
         assert all(not g.any() for g in grads.values())
 
 
+# Patterns over a 10-token vocabulary plus two tokens outside it.
+PATTERN = st.lists(
+    st.sampled_from([f"t{i}" for i in range(10)] + ["oov_a", "oov_b"]), min_size=1, max_size=12
+).map(tuple)
+
+
+class TestPoolScoring:
+    @settings(max_examples=100, deadline=None)
+    @given(PATTERN, st.lists(PATTERN, min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+    def test_matches_per_pair_oracle(self, qp, pool, seed):
+        rng = np.random.default_rng(seed)
+        vocab = Vocab.build([[f"t{i}" for i in range(10)]])
+        members = []
+        for _ in range(3):
+            model = init_matcher(vocab, MatcherConfig(hidden=5))
+            model.encoder.embedding = rng.normal(size=model.encoder.embedding.shape)
+            model.head.weight = rng.normal(size=model.head.weight.shape)
+            model.head.bias = rng.normal(size=model.head.bias.shape)
+            members.append(model)
+        ensemble = MatcherEnsemble(members=members)
+        expected = np.array(oracles.ensemble_score(ensemble, qp, pool))
+        for _ in range(2):  # the second call reads every pattern from the memo
+            scores = ensemble.score(qp, pool)
+            assert scores.shape == (len(pool),)
+            assert np.max(np.abs(scores - expected)) <= 1e-12
+
+    def test_empty_pool(self):
+        model = init_matcher(Vocab.build([["a"]]), MatcherConfig(hidden=3))
+        assert MatcherEnsemble(members=[model]).score(("a",), []).shape == (0,)
+
+
 class TestRankingSampling:
     def test_small_pool_keeps_everything(self):
         pool = [(pattern("h", str(i)), 0.5) for i in range(3)]
@@ -312,7 +343,7 @@ class TestMatcherTraining:
         base = ensemble.members[0]
         cloned = MatcherEnsemble(members=[base, base, base])
         qp, gold = sample_pattern_pair(dev.samples[0])
-        assert cloned.score(qp.tokens, gold.tokens) == pytest.approx(
+        assert cloned.score(qp.tokens, [gold.tokens])[0] == pytest.approx(
             score_pair(qp.tokens, gold.tokens, base)
         )
 
@@ -321,7 +352,7 @@ class TestMatcherTraining:
         for sample in dev.samples[:10]:
             qp, gold = sample_pattern_pair(sample)
             members = [score_pair(qp.tokens, gold.tokens, m) for m in ensemble.members]
-            fused = ensemble.score(qp.tokens, gold.tokens)
+            fused = ensemble.score(qp.tokens, [gold.tokens])[0]
             assert min(members) - 1e-12 <= fused <= max(members) + 1e-12
 
     def test_ensemble_not_worse_than_base(self, trained_matcher):
@@ -334,7 +365,7 @@ class TestMatcherTraining:
         ensemble, index, _, dev = trained_matcher
         for sample in dev.samples[:10]:
             qp, gold = sample_pattern_pair(sample)
-            p = ensemble.score(qp.tokens, gold.tokens)
+            p = ensemble.score(qp.tokens, [gold.tokens])[0]
             assert 0.0 < p < 1.0
 
 
@@ -433,6 +464,39 @@ class TestCooccurrence:
         train, _, _ = small_splits
         model = build_cooccurrence(train)
         assert score_candidate_pe(("(", "a", "b", ")"), [], model) == 0.5
+
+    def test_memo_equals_pair_prob_for_unseen_names(self, small_splits):
+        train, _, _ = small_splits
+        model = build_cooccurrence(train)
+        preds = sorted(model.pred_counts)[:3] + ["mso:never.seen", "mso:also.unseen"]
+        ents = sorted(model.ent_counts)[:3] + ["never_seen", "also_unseen"]
+        for pred in preds:
+            for ent in ents:
+                assert model.memo_pair_prob(pred, ent) == model.pair_prob(pred, ent)
+        # Keyed by counts: more unseen names add no keys.
+        size = len(model._pair_probs)
+        for i in range(50):
+            assert model.memo_pair_prob(preds[0], f"unseen_{i}") == model.pair_prob(
+                preds[0], f"unseen_{i}"
+            )
+            model.memo_pair_prob(f"mso:unseen.{i}", ents[0])
+        assert len(model._pair_probs) == size
+
+    def test_candidate_mean_matches_unmemoised_oracle(self, small_splits):
+        train, _, _ = small_splits
+        model = build_cooccurrence(train)
+        rng = random.Random(0)
+        preds = sorted(model.pred_counts) + ["mso:never.seen"]
+        ents = sorted(model.ent_counts) + ["never_seen"]
+        for _ in range(200):
+            surfaces = rng.sample(ents, 2)
+            tokens = ["("]
+            for _ in range(rng.randint(1, 3)):
+                tokens += ["(", rng.choice(preds), rng.choice(surfaces), "?x", ")"]
+            tokens.append(")")
+            assert score_candidate_pe(tokens, surfaces, model) == oracles.score_candidate_pe(
+                tokens, surfaces, model
+            )
 
     def test_two_pair_candidate_is_mean(self, small_splits):
         train, _, _ = small_splits

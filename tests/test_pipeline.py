@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchparse import lf, pipeline
+from sketchparse import learn, lf, multitask, pipeline
 from sketchparse.data import EmptyCorpus
+from sketchparse.genscore import split_logical_form
 from sketchparse.matchers import MatcherConfig, PatternEntry, PatternIndex
 from sketchparse.multitask import MultiTaskConfig
 from sketchparse.pipeline import (
@@ -31,6 +34,7 @@ from sketchparse.pipeline import (
     predict_detailed,
     rank,
     save_system,
+    score_components,
     train_system,
     tune_weights,
 )
@@ -399,6 +403,38 @@ class TestEndToEnd:
             assert "diagnostic" in detail
         # (a lucky span labeling may still produce candidates; both are valid)
 
+    @pytest.mark.parametrize("question", ["", "   "])
+    def test_blank_question_yields_diagnostic(self, trained_system, question):
+        detail = predict_detailed(question, trained_system)
+        assert detail.pop("diagnostic")
+        assert detail == {
+            "predicted_logical_form": "",
+            "sketch_class": "",
+            "spans": [],
+            "candidates": [],
+        }
+        assert predict(question, trained_system) == ""
+
+    def test_no_candidates_outcome_runs_first_stages_once(
+        self, trained_system, small_splits, monkeypatch
+    ):
+        _, _, test = small_splits
+        sample = test.samples[0]
+        model = trained_system.multitask
+        probs = multitask.classify_sketch(sample.question_tokens, model)
+        spans = multitask.predict_spans(sample.question_tokens, model)
+        calls = []
+        classify = multitask.classify_sketch
+        monkeypatch.setattr(
+            multitask, "classify_sketch", lambda *a: calls.append(a) or classify(*a)
+        )
+        no_patterns = dataclasses.replace(trained_system, index=PatternIndex())
+        outcome = analyze_sample(no_patterns, sample)
+        assert outcome.no_candidates and outcome.pred_lf is None
+        assert outcome.pred_class == model.classes[int(np.argmax(probs))]
+        assert outcome.pred_spans == spans
+        assert len(calls) == 1
+
     def test_tuned_weights_not_worse_than_pattern_only(self, trained_system, small_splits):
         _, dev, _ = small_splits
         packs = pipeline._dev_packs(trained_system, dev)
@@ -412,6 +448,69 @@ class TestEndToEnd:
             ) / len(packs)
 
         assert accuracy(tuned) >= accuracy(FusionWeights(1.0, 0.0, 0.0))
+
+
+def assert_ranked_alike(fast, slow, weights, tol=1e-12):
+    """``fast`` ranks like ``slow`` except among candidates whose fused
+    scores under ``slow`` are within ``tol`` of each other."""
+    oracle = {s.candidate.tokens: s.fused for s in rank(slow, weights)}
+    order = [s.candidate.tokens for s in rank(fast, weights)]
+    assert sorted(order) == sorted(oracle)
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            assert oracle[a] >= oracle[b] - tol
+
+
+class TestScoreComponents:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_match_oracles_and_rank_alike(self, trained_system, data):
+        system = trained_system
+        words = st.sampled_from(system.matcher.members[0].vocab.tokens[2:] + ["oov_a", "oov_b"])
+        ents = sorted(system.cooccurrence.ent_counts)[:20] + ["never_seen"]
+        lf_token = st.sampled_from(
+            ["(", ")", "?x", "3"] + sorted(system.cooccurrence.pred_counts)
+            + ["mso:never.seen"] + ents
+        )
+        candidate = st.builds(
+            Candidate,
+            tokens=st.lists(lf_token, min_size=1, max_size=14).map(tuple),
+            pattern=st.lists(words, min_size=1, max_size=10).map(
+                lambda t: lf.LfPattern(tuple(t))
+            ),
+            entity_fillers=st.lists(st.sampled_from(ents), max_size=2).map(tuple),
+            freq=st.integers(1, 3),
+        )
+        pool = data.draw(
+            st.lists(candidate, min_size=1, max_size=60, unique_by=lambda c: c.tokens)
+        )
+        question = data.draw(st.lists(words, min_size=1, max_size=12).map(tuple))
+        qp = lf.QuestionPattern(data.draw(st.lists(words, min_size=1, max_size=12).map(tuple)))
+        sketch_class = data.draw(st.sampled_from(system.multitask.classes + ["( unseen )"]))
+
+        fast = score_components(system, question, qp, sketch_class, pool)
+        slow = [
+            ScoredCandidate(candidate=c, pattern_score=ps, pe_score=pe, gen_score=gs)
+            for c, ps, pe, gs in zip(
+                pool,
+                oracles.ensemble_score(system.matcher, qp.tokens, [c.pattern.tokens for c in pool]),
+                [
+                    oracles.score_candidate_pe(c.tokens, c.entity_fillers, system.cooccurrence)
+                    for c in pool
+                ],
+                oracles.gen_scores(
+                    system.gen, question, sketch_class,
+                    [split_logical_form(c.tokens) for c in pool],
+                ),
+                strict=True,
+            )
+        ]
+        for key in ("pattern_score", "pe_score", "gen_score"):
+            got = np.array([getattr(s, key) for s in fast])
+            want = np.array([getattr(s, key) for s in slow])
+            assert np.max(np.abs(got - want)) <= 1e-12, key
+        for weights in (system.weights, FusionWeights(0.4, 0.3, 0.3), FusionWeights(0, 0, 1)):
+            assert_ranked_alike(fast, slow, weights)
 
 
 class TestOutOfInventory:
@@ -466,6 +565,16 @@ class TestPersistence:
             assert predict(sample.question, reloaded) == predict(
                 sample.question, trained_system
             )
+
+    def test_other_format_version_rejected(self, trained_system, tmp_path):
+        model_dir = tmp_path / "model_v99"
+        save_system(trained_system, model_dir)
+        manifest_path = model_dir / pipeline.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 99
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(learn.UnsupportedCheckpoint, match="format_version 99"):
+            load_system(model_dir)
 
     def test_outcome_analysis_stable_after_reload(
         self, trained_system, small_splits, tmp_path
