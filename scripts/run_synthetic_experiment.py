@@ -9,6 +9,7 @@ reproduce the 4000/500/500 setup.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import time
@@ -74,17 +75,12 @@ def main() -> None:
     print(f"gold candidate rate:   {report['gold_candidate_rate']:.4f}")
     print(f"error taxonomy:        {report['taxonomy']}")
 
-    packs = pipeline._dev_packs(system, dev)
-    baseline = sum(
-        1
-        for gold, pack in packs
-        if pack and pipeline._top_candidate(pack, FusionWeights(1.0, 0.0, 0.0)) == gold
-    ) / len(packs)
-    tuned = sum(
-        1
-        for gold, pack in packs
-        if pack and pipeline._top_candidate(pack, system.weights) == gold
-    ) / len(packs)
+    def dev_accuracy(weights: FusionWeights) -> float:
+        counts = pipeline.evaluate(dev, dataclasses.replace(system, weights=weights))["counts"]
+        return counts["exact_match"] / counts["samples"]
+
+    baseline = dev_accuracy(pipeline.PATTERN_ONLY)
+    tuned = dev_accuracy(system.weights)
     print(f"dev accuracy, pattern-only baseline: {baseline:.4f}")
     print(f"dev accuracy, tuned fusion weights:  {tuned:.4f}")
 

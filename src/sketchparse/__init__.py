@@ -55,8 +55,8 @@ from .pipeline import (
     ParserSystem,
     SystemConfig,
     evaluate,
-    generate_candidates,
     load_system,
+    parse,
     predict,
     rank,
     save_system,
@@ -91,12 +91,12 @@ __all__ = [
     "extract_entities",
     "extract_sketch",
     "fit_genmodel",
-    "generate_candidates",
     "generate_synthetic",
     "load_jsonl",
     "load_mspars_text",
     "load_system",
     "normalize_losses",
+    "parse",
     "parse_logical_form",
     "predict",
     "rank",

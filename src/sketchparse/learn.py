@@ -1,5 +1,5 @@
 """Minimal learning core shared by the trainable stages: token embeddings,
-windowed encoders, softmax/cross-entropy and a seeded Adam optimizer.
+windowed encoders, softmax/cross-entropy and an Adam optimizer.
 
 All math is float64 numpy; no autograd, gradients are written by hand and
 checked against finite differences in the test suite.
@@ -156,14 +156,13 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: Mapping[str, np.ndarray], lr: float = 1e-2, seed: int = 0) -> "AdamState":
-        state = cls(lr=lr, seed=seed)
+    def for_params(cls, params: Mapping[str, np.ndarray], lr: float = 1e-2) -> "AdamState":
+        state = cls(lr=lr)
         for name, value in params.items():
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)

@@ -146,8 +146,14 @@ def is_numeric(token: str) -> bool:
     return bool(_NUMERIC_RE.match(token))
 
 
+def entity_slot(token: str) -> int:
+    """K for an entityK slot token, 0 for any other token."""
+    m = _ENTITY_SLOT_RE.match(token)
+    return int(m.group(1)) if m else 0
+
+
 def is_entity_slot(token: str) -> bool:
-    return bool(_ENTITY_SLOT_RE.match(token))
+    return entity_slot(token) > 0
 
 
 def split_turns(tokens: Sequence[str]) -> list[TokenSeq]:
@@ -351,9 +357,8 @@ def substitute_template(template: LfTemplate, fillers: Sequence[str]) -> Logical
         )
     out: list[str] = []
     for tok in template.tokens:
-        m = _ENTITY_SLOT_RE.match(tok)
-        if m:
-            k = int(m.group(1))
+        k = entity_slot(tok)
+        if k:
             if k > len(fillers):
                 raise ArityMismatch(f"slot entity{k} beyond {len(fillers)} fillers")
             out.append(normalize_surface(fillers[k - 1]))

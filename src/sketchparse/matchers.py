@@ -32,12 +32,20 @@ class PatternEntry:
     pattern: lf.LfPattern
     template: lf.LfTemplate
     freq: int = 1
-    # The template's value and type slots, found once when the entry is built.
+    # The template's slots, found once when the entry is built: entity slots
+    # as (position, filler index) pairs, value and type slots as positions.
+    entity_positions: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     value_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
     type_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = self.template.tokens
+        arity = self.template.entity_arity
+        self.entity_positions = tuple(
+            (i, k - 1) for i, tok in enumerate(tokens) if (k := lf.entity_slot(tok))
+        )
+        if any(k >= arity for _, k in self.entity_positions):
+            raise ValueError(f"template {' '.join(tokens)!r} has a slot beyond its arity {arity}")
         self.value_positions = tuple(lf.numeric_positions(tokens))
         self.type_positions = tuple(
             i for i in lf.isa_argument_positions(tokens) if not lf.is_entity_slot(tokens[i])
@@ -349,7 +357,6 @@ def _encode_pairs(
 
 def train_matcher_ensemble(
     train: Corpus,
-    dev: Corpus,
     index: PatternIndex,
     cfg: MatcherConfig | None = None,
 ) -> MatcherEnsemble:
@@ -381,7 +388,7 @@ def train_matcher_ensemble(
     encoded: dict[lf.TokenSeq, np.ndarray] = {}
     pos_encoded = _encode_pairs(vocab, positives, encoded)
 
-    opt = AdamState.for_params(base.params(), lr=cfg.lr, seed=cfg.seed)
+    opt = AdamState.for_params(base.params(), lr=cfg.lr)
     shuffler = np.random.default_rng(cfg.seed + 1)
     neg_rng = random.Random(cfg.seed + 2)
     for epoch in range(cfg.epochs):
@@ -397,7 +404,7 @@ def train_matcher_ensemble(
     base_scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] = {}
     for refit_idx in range(cfg.refits):
         refit = base.clone()
-        opt = AdamState.for_params(refit.params(), lr=cfg.lr, seed=cfg.seed + 10 + refit_idx)
+        opt = AdamState.for_params(refit.params(), lr=cfg.lr)
         refit_rng = random.Random(cfg.seed + 100 + refit_idx)
         for epoch in range(cfg.refit_epochs):
             resampled = ranking_resample(
@@ -560,7 +567,7 @@ def build_cooccurrence(
             examples.append((model.features(pred, ent), 0))
 
     params = {"head_w": model.head.weight, "head_b": model.head.bias}
-    opt = AdamState.for_params(params, lr=cfg.lr, seed=cfg.seed)
+    opt = AdamState.for_params(params, lr=cfg.lr)
     shuffler = np.random.default_rng(cfg.seed + 1)
     for _ in range(cfg.epochs):
         order = shuffler.permutation(len(examples))

@@ -127,8 +127,6 @@ def crf_nll_grad(
     """NLL with gradients w.r.t. emissions and transitions (marginals minus gold)."""
     labels = list(labels)
     k, m = emissions.shape
-    loss = crf_nll(emissions, trans, labels)
-
     alpha = np.empty((m, k))
     alpha[0] = emissions[:, 0]
     for t in range(1, m):
@@ -138,6 +136,7 @@ def crf_nll_grad(
     for t in range(m - 2, -1, -1):
         beta[t] = logsumexp(trans + emissions[:, t + 1][None, :] + beta[t + 1][None, :], axis=1)
     log_z = logsumexp(alpha[m - 1])
+    loss = float(log_z) - crf_score(emissions, trans, labels)
 
     d_emissions = np.exp(alpha + beta - log_z).T  # node marginals, (k, m)
     d_trans = np.zeros_like(trans)
@@ -188,11 +187,6 @@ def gold_labels(sample: Sample, max_len: int | None = None) -> list[int]:
         for i in range(start + 1, min(end, length - 1) + 1):
             labels[i] = L_I
     return labels
-
-
-def pad_labels(labels: Sequence[int], padded_len: int) -> list[int]:
-    """Extend a real-token label sequence with the padding label p."""
-    return list(labels) + [L_P] * (padded_len - len(labels))
 
 
 def extract_entities(
@@ -349,7 +343,7 @@ def train_multitask(
         encoded.append((ids, class_to_idx[sample.sketch_class], gold_labels(sample, cfg.max_len)))
 
     params = model.params()
-    opt = AdamState.for_params(params, lr=cfg.lr, seed=cfg.seed)
+    opt = AdamState.for_params(params, lr=cfg.lr)
     shuffler = np.random.default_rng(cfg.seed + 1)
 
     best = model.snapshot()
@@ -383,16 +377,3 @@ def train_multitask(
             break
     model.load_params(best)
     return model
-
-
-def nearest_class(sketch: str, classes: Sequence[str]) -> str:
-    """Inventory class with the largest token overlap, ties to the lexicographically first."""
-    target = set(sketch.split())
-    best_cls = min(classes)
-    best_overlap = -1
-    for cls in sorted(classes):
-        overlap = len(target & set(cls.split()))
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_cls = cls
-    return best_cls

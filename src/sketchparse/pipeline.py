@@ -31,11 +31,7 @@ logger = logging.getLogger(__name__)
 
 
 class NoCandidates(Exception):
-    """No candidate fits the question. When raised out of
-    ``generate_candidates`` it carries the first stages' predictions."""
-
-    sketch_class: str = ""
-    spans: Sequence[tuple[int, int]] = ()
+    """No candidate fits the question; ``parse`` reports it as a diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,7 @@ class ScoredCandidate:
 _E_SLOT = re.compile(r"E(\d+)")
 _V_SLOT = re.compile(r"V(\d*)")
 _T_SLOT = re.compile(r"T(\d*)")
+_DELIMITERS = frozenset(("(", ")", lf.TURN_SEPARATOR))
 
 
 def class_slot_counts(sketch_class: str) -> tuple[int, int, int]:
@@ -104,7 +101,8 @@ def assign_spans(
 
     Numeric spans fill value slots; the remaining spans fill entity slots
     first and type slots after, in question order. Returns (entity fillers,
-    value fillers, type fillers, question pattern).
+    value fillers, type fillers, question pattern). A span that is a bare
+    delimiter ("(", ")" or the turn separator) fills no slot.
     """
     arity, n_values, n_types = class_slot_counts(sketch_class)
     spans = sorted(spans)
@@ -112,6 +110,8 @@ def assign_spans(
     other_spans: list[tuple[int, int]] = []
     for span in spans:
         surface = lf.span_surface(question_tokens, span)
+        if surface in _DELIMITERS:
+            raise NoCandidates(f"span {list(span)} is the delimiter {surface!r}")
         if lf.is_numeric(surface):
             numeric.append(surface)
         else:
@@ -148,7 +148,8 @@ def generate_candidates_from(
     spans: Sequence[tuple[int, int]],
     index: PatternIndex,
 ) -> tuple[list[Candidate], lf.QuestionPattern]:
-    """Substitute every arity-compatible template of the predicted class."""
+    """Fill every arity-compatible template of the predicted class, slot by
+    slot at the positions its index entry recorded."""
     entries = index.patterns(sketch_class)
     if not entries:
         raise NoCandidates(f"no patterns indexed for class {sketch_class!r}")
@@ -165,11 +166,9 @@ def generate_candidates_from(
             continue
         if len(entry.type_positions) != len(type_fillers):
             continue
-        try:
-            form = lf.substitute_template(template, entity_fillers)
-        except lf.ArityMismatch:
-            continue
-        tokens = list(form.tokens)
+        tokens = list(template.tokens)
+        for pos, k in entry.entity_positions:
+            tokens[pos] = entity_fillers[k]
         for pos, filler in zip(entry.value_positions, value_fillers):
             tokens[pos] = filler
         for pos, filler in zip(entry.type_positions, type_fillers):
@@ -187,21 +186,6 @@ def generate_candidates_from(
     if not seen:
         raise NoCandidates(f"no template of class {sketch_class!r} fits the labeled spans")
     return list(seen.values()), qp
-
-
-def generate_candidates(
-    question_tokens: lf.TokenSeq, model: MultiTaskModel, index: PatternIndex
-) -> tuple[list[Candidate], lf.QuestionPattern, str, list[tuple[int, int]]]:
-    """Run the trained first stages, then expand the predicted class's templates."""
-    probs = multitask.classify_sketch(question_tokens, model)
-    sketch_class = model.classes[int(np.argmax(probs))]
-    spans = multitask.predict_spans(question_tokens, model)
-    try:
-        candidates, qp = generate_candidates_from(question_tokens, sketch_class, spans, index)
-    except NoCandidates as exc:
-        exc.sketch_class, exc.spans = sketch_class, spans
-        raise
-    return candidates, qp, sketch_class, spans
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +247,31 @@ def rank(scored: Sequence[ScoredCandidate], weights: FusionWeights) -> list[Scor
     return sorted(fused, key=lambda s: (-s.fused, -s.candidate.freq, s.candidate.text))
 
 
-def _top_candidate(
-    pack: Sequence[tuple[lf.TokenSeq, float, float, float, int]], weights: FusionWeights
-) -> lf.TokenSeq:
-    best_key = None
-    best_tokens: lf.TokenSeq = ()
-    for tokens, ps, pe, gs, freq in pack:
-        fused = weights.w_pattern * ps + weights.w_pe * pe + weights.w_gen * gs
-        key = (-fused, -freq, " ".join(tokens))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_tokens = tokens
-    return best_tokens
+@dataclass
+class Parse:
+    """One question through every stage: the predicted sketch class and spans,
+    the fused ranking, and why the ranking is empty when it is."""
+
+    sketch_class: str
+    spans: list[tuple[int, int]]
+    ranked: list[ScoredCandidate]
+    diagnostic: str = ""
+
+
+def parse(question_tokens: lf.TokenSeq, system: ParserSystem) -> Parse:
+    """Classify the sketch, label spans, fill the class's templates, score and rank."""
+    model = system.multitask
+    probs = multitask.classify_sketch(question_tokens, model)
+    sketch_class = model.classes[int(np.argmax(probs))]
+    spans = multitask.predict_spans(question_tokens, model)
+    try:
+        candidates, qp = generate_candidates_from(
+            question_tokens, sketch_class, spans, system.index
+        )
+    except NoCandidates as exc:
+        return Parse(sketch_class, spans, [], str(exc))
+    scored = score_components(system, question_tokens, qp, sketch_class, candidates)
+    return Parse(sketch_class, spans, rank(scored, system.weights))
 
 
 def grid_points(step: float = 0.05) -> list[FusionWeights]:
@@ -295,7 +292,7 @@ def tune_weights(
 
     Ties prefer larger w_pattern, then larger w_pe, so the pattern-only corner
     wins when every weighting is equivalent. Each pack is scored at every grid
-    point at once and picks the same top candidate as ``_top_candidate``.
+    point at once and picks the same top candidate as ``rank``.
     """
     if not dev_packs:
         raise EmptyCorpus("cannot tune fusion weights without scored dev samples")
@@ -305,10 +302,10 @@ def tune_weights(
     for gold, pack in dev_packs:
         if not pack:
             continue
-        # argmax takes the first maximum, so order ties as _top_candidate does.
+        # argmax takes the first maximum, so order ties as rank does.
         ordered = sorted(pack, key=lambda c: (-c[4], " ".join(c[0])))
         scores = np.array([c[1:4] for c in ordered], dtype=np.float64)
-        # Elementwise in _top_candidate's order, so the fused floats are equal.
+        # Elementwise in rank's order, so the fused floats are equal.
         fused = w[:, :1] * scores[:, 0] + w[:, 1:2] * scores[:, 1] + w[:, 2:] * scores[:, 2]
         is_gold = np.array([c[0] == gold for c in ordered])
         hits += is_gold[fused.argmax(axis=1)]
@@ -435,31 +432,18 @@ def compute_metrics(outcomes: Sequence[SampleOutcome]) -> dict:
 
 def analyze_sample(system: ParserSystem, sample: Sample) -> SampleOutcome:
     """Full prediction for one sample, recorded for metric aggregation."""
-    outcome = SampleOutcome(
+    result = parse(sample.question_tokens, system)
+    return SampleOutcome(
         gold_class=sample.sketch_class,
-        pred_class="",
+        pred_class=result.sketch_class,
         gold_spans=sample.sorted_spans(),
-        pred_spans=[],
+        pred_spans=result.spans,
         gold_lf=sample.lf.tokens,
-        pred_lf=None,
+        pred_lf=result.ranked[0].candidate.tokens if result.ranked else None,
+        gold_generated=any(s.candidate.tokens == sample.lf.tokens for s in result.ranked),
         in_inventory=sample.sketch_class in system.multitask.classes,
+        no_candidates=not result.ranked,
     )
-    try:
-        candidates, qp, pred_class, spans = generate_candidates(
-            sample.question_tokens, system.multitask, system.index
-        )
-    except NoCandidates as exc:
-        outcome.pred_class = exc.sketch_class
-        outcome.pred_spans = exc.spans
-        outcome.no_candidates = True
-        return outcome
-    outcome.pred_class = pred_class
-    outcome.pred_spans = spans
-    outcome.gold_generated = any(c.tokens == sample.lf.tokens for c in candidates)
-    scored = score_components(system, sample.question_tokens, qp, pred_class, candidates)
-    ranked = rank(scored, system.weights)
-    outcome.pred_lf = ranked[0].candidate.tokens
-    return outcome
 
 
 def evaluate(corpus: Corpus, system: ParserSystem) -> dict:
@@ -478,36 +462,19 @@ def predict(question: str, system: ParserSystem) -> str:
     return result["predicted_logical_form"]
 
 
-def _no_prediction(diagnostic: str) -> dict:
-    return {
-        "predicted_logical_form": "",
-        "sketch_class": "",
-        "spans": [],
-        "candidates": [],
-        "diagnostic": diagnostic,
-    }
-
-
 def predict_detailed(question: str, system: ParserSystem) -> dict:
     """The ranked candidates with their scores, or an empty prediction with a
     diagnostic when the question is blank or no candidate fits."""
     try:
         tokens = lf.tokenize_question(question)
     except lf.EmptyInput as exc:
-        return _no_prediction(str(exc))
-    try:
-        candidates, qp, pred_class, spans = generate_candidates(
-            tokens, system.multitask, system.index
-        )
-    except NoCandidates as exc:
-        return _no_prediction(str(exc))
-    ranked = rank(
-        score_components(system, tokens, qp, pred_class, candidates), system.weights
-    )
-    return {
-        "predicted_logical_form": ranked[0].candidate.text,
-        "sketch_class": pred_class,
-        "spans": [list(span) for span in spans],
+        result = Parse("", [], [], str(exc))
+    else:
+        result = parse(tokens, system)
+    detail = {
+        "predicted_logical_form": result.ranked[0].candidate.text if result.ranked else "",
+        "sketch_class": result.sketch_class,
+        "spans": [list(span) for span in result.spans],
         "candidates": [
             {
                 "logical_form": s.candidate.text,
@@ -516,9 +483,12 @@ def predict_detailed(question: str, system: ParserSystem) -> dict:
                 "gen_score": s.gen_score,
                 "fused": s.fused,
             }
-            for s in ranked
+            for s in result.ranked
         ],
     }
+    if not result.ranked:
+        detail["diagnostic"] = result.diagnostic
+    return detail
 
 
 # ---------------------------------------------------------------------------
@@ -536,26 +506,17 @@ class SystemConfig:
 
 
 def _dev_packs(system: ParserSystem, dev: Corpus):
-    packs = []
-    for sample in dev:
-        try:
-            candidates, qp, pred_class, _ = generate_candidates(
-                sample.question_tokens, system.multitask, system.index
-            )
-        except NoCandidates:
-            packs.append((sample.lf.tokens, []))
-            continue
-        scored = score_components(system, sample.question_tokens, qp, pred_class, candidates)
-        packs.append(
-            (
-                sample.lf.tokens,
-                [
-                    (s.candidate.tokens, s.pattern_score, s.pe_score, s.gen_score, s.candidate.freq)
-                    for s in scored
-                ],
-            )
+    """Each dev sample's gold form with its scored candidates, as tune_weights reads them."""
+    return [
+        (
+            sample.lf.tokens,
+            [
+                (s.candidate.tokens, s.pattern_score, s.pe_score, s.gen_score, s.candidate.freq)
+                for s in parse(sample.question_tokens, system).ranked
+            ],
         )
-    return packs
+        for sample in dev
+    ]
 
 
 def train_system(train: Corpus, dev: Corpus, cfg: SystemConfig | None = None) -> ParserSystem:
@@ -567,7 +528,7 @@ def train_system(train: Corpus, dev: Corpus, cfg: SystemConfig | None = None) ->
     mt = multitask.train_multitask(train, dev, cfg.multitask)
     index = matchers.build_pattern_index(train)
     logger.info("pattern index: %d entries", index.size())
-    matcher = matchers.train_matcher_ensemble(train, dev, index, cfg.matcher)
+    matcher = matchers.train_matcher_ensemble(train, index, cfg.matcher)
     cooccurrence = matchers.build_cooccurrence(train, cfg.cooccurrence)
     gen = genscore.fit_genmodel(train, cfg.gen_members)
     system = ParserSystem(

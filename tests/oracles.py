@@ -45,14 +45,30 @@ def pair_loss_grads(
     return total / n
 
 
+def top_candidate(
+    pack: Sequence[tuple[tuple[str, ...], float, float, float, int]], weights: FusionWeights
+) -> tuple[str, ...]:
+    """The pack's best candidate under ``weights``: highest fused score, then
+    highest pattern frequency, then first text."""
+    best_key = None
+    best_tokens: tuple[str, ...] = ()
+    for tokens, ps, pe, gs, freq in pack:
+        fused = weights.w_pattern * ps + weights.w_pe * pe + weights.w_gen * gs
+        key = (-fused, -freq, " ".join(tokens))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_tokens = tokens
+    return best_tokens
+
+
 def tune_weights(dev_packs, step: float = 0.05) -> FusionWeights:
-    """Grid point by grid point, each pack's top candidate from _top_candidate."""
+    """Grid point by grid point, each pack's top candidate from top_candidate."""
     best = None
     for weights in pipeline.grid_points(step):
         hits = sum(
             1
             for gold, pack in dev_packs
-            if pack and pipeline._top_candidate(pack, weights) == gold
+            if pack and top_candidate(pack, weights) == gold
         )
         key = (hits / len(dev_packs), weights.w_pattern, weights.w_pe)
         if best is None or key > best[0]:

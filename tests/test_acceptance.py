@@ -24,6 +24,7 @@ from sketchparse.learn import Vocab, logsumexp, softmax_cross_entropy
 from sketchparse.matchers import MatcherConfig, init_matcher, pair_loss_grads, select_by_rank
 from sketchparse.multitask import crf_nll, crf_nll_grad, crf_log_partition, viterbi
 from sketchparse.pipeline import FusionWeights, SampleOutcome, compute_metrics
+from tests.oracles import top_candidate
 from tests.test_learn import assert_close_grads, central_difference
 
 BIG_CONFIG = GenConfig(
@@ -224,7 +225,7 @@ def test_c7_tuned_weights_beat_pattern_only_baseline(big_system):
         return sum(
             1
             for gold, pack in packs
-            if pack and pipeline._top_candidate(pack, weights) == gold
+            if pack and top_candidate(pack, weights) == gold
         ) / len(packs)
 
     tuned_acc = accuracy(system.weights)

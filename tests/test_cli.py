@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sketchparse import cli
 from sketchparse.data import load_jsonl
+from sketchparse.lf import parse_logical_form
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,27 @@ class TestTrainPredictEvaluate:
             assert record["candidates"] == [] and record["diagnostic"]
         assert records[2]["predicted_logical_form"] and "diagnostic" not in records[2]
 
+    def test_delimiter_questions_keep_going(self, workspace, tmp_path):
+        _, data_dir, model_dir = workspace
+        questions = (
+            "how many number of pages does ||| place have",
+            "what is birth date for (",
+            "what is birth date for )",
+            load_jsonl(data_dir / "test.jsonl").samples[0].question,
+        )
+        in_path, out_path = tmp_path / "delim.jsonl", tmp_path / "delim_pred.jsonl"
+        in_path.write_text("".join(json.dumps({"question": q}) + "\n" for q in questions))
+        rc = cli.main(
+            ["predict", "--model", str(model_dir), "--input", str(in_path), "--out", str(out_path)]
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [r["question"] for r in records] == list(questions)
+        for record in records:
+            assert record["candidates"] or record["diagnostic"]
+            for cand in record["candidates"]:
+                parse_logical_form(cand["logical_form"])
+
     def test_evaluate_writes_report(self, workspace, tmp_path):
         _, data_dir, model_dir = workspace
         report_path = tmp_path / "report.json"
@@ -192,6 +216,25 @@ class TestExitCodes:
         assert rc == 2
         assert "format_version 99" in capsys.readouterr().err
 
+    def test_template_slot_beyond_arity_is_two(self, workspace, tmp_path, capsys):
+        _, data_dir, model_dir = workspace
+        edited = tmp_path / "model_slot"
+        shutil.copytree(model_dir, edited)
+        patterns = json.loads((edited / "patterns.json").read_text())
+        entry = next(e for entries in patterns.values() for e in entries if e["arity"] == 1)
+        entry["template"] = [t if t != "entity1" else "entity2" for t in entry["template"]]
+        (edited / "patterns.json").write_text(json.dumps(patterns))
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(edited),
+                "--input", str(data_dir / "test.jsonl"),
+                "--out", str(tmp_path / "out.jsonl"),
+            ]
+        )
+        assert rc == 2
+        assert "beyond its arity" in capsys.readouterr().err
+
     def test_bad_sample_json_is_two(self):
         assert cli.main(["inspect", "--sample", "{broken"]) == 2
 
@@ -203,3 +246,19 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
+
+
+def test_experiment_script_quick_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_synthetic_experiment.py"), "--quick",
+         "--report", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dev accuracy, tuned fusion weights" in proc.stdout
+    assert json.loads((tmp_path / "report.json").read_text())["counts"]["samples"] > 0

@@ -233,7 +233,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(11)
             params = {"w": rng.normal(size=(3, 3))}
-            state = AdamState.for_params(params, lr=0.05, seed=11)
+            state = AdamState.for_params(params, lr=0.05)
             for _ in range(25):
                 grad = {"w": np.sin(params["w"]) + 0.1}
                 step(params, grad, state)

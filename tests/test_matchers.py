@@ -298,7 +298,7 @@ def trained_matcher(small_splits):
     train, dev, _ = small_splits
     index = build_pattern_index(train)
     cfg = MatcherConfig(epochs=3, refit_epochs=1, refits=2, seed=0)
-    return train_matcher_ensemble(train, dev, index, cfg), index, train, dev
+    return train_matcher_ensemble(train, index, cfg), index, train, dev
 
 
 class TestMatcherTraining:
@@ -311,7 +311,7 @@ class TestMatcherTraining:
         monkeypatch.setattr(
             matchers, "score_pair", lambda *args: scored.append(args[:2]) or score_pair(*args)
         )
-        memoised = train_matcher_ensemble(train, dev, index, cfg)
+        memoised = train_matcher_ensemble(train, index, cfg)
         memo_scored = list(scored)
 
         ranking_resample = matchers.ranking_resample
@@ -321,7 +321,7 @@ class TestMatcherTraining:
             lambda *args, scores=None, **kwargs: ranking_resample(*args, **kwargs),
         )
         scored.clear()
-        rescored = train_matcher_ensemble(train, dev, index, cfg)
+        rescored = train_matcher_ensemble(train, index, cfg)
         # Memoised: each distinct pair once; rescoring: every pair in all 4 calls.
         assert len(memo_scored) == len(set(memo_scored)) > 0
         assert set(memo_scored) == set(scored)

@@ -25,7 +25,6 @@ from sketchparse.multitask import (
     gold_labels,
     init_model,
     joint_loss,
-    pad_labels,
     sample_grads,
     train_multitask,
     viterbi,
@@ -167,9 +166,6 @@ class TestLabelSequences:
         assert spans == sample.sorted_spans()
         assert L_P not in labels
 
-    def test_pad_labels(self):
-        assert pad_labels([L_O, L_B], 5) == [L_O, L_B, L_P, L_P, L_P]
-
 
 def tiny_model(classes=("a", "b", "c"), cfg=None):
     cfg = cfg or MultiTaskConfig(hidden=8, window=1, seed=0)
@@ -281,9 +277,3 @@ class TestTraining:
 
         with pytest.raises(EmptyCorpus):
             train_multitask(Corpus(samples=[]), Corpus(samples=[]), MultiTaskConfig())
-
-
-class TestNearestClass:
-    def test_overlap_wins(self):
-        classes = ["( lambda ?x ( P1 E1 ?x ) )", "( P1 E1 E2 )"]
-        assert multitask.nearest_class("( lambda ?x ( P1 E1 ?y ) )", classes) == classes[0]

@@ -7,13 +7,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sketchparse import learn, lf, multitask, pipeline
 from sketchparse.data import EmptyCorpus
 from sketchparse.genscore import split_logical_form
-from sketchparse.matchers import MatcherConfig, PatternEntry, PatternIndex
+from sketchparse.matchers import MatcherConfig, PatternEntry, PatternIndex, build_pattern_index
 from sketchparse.multitask import MultiTaskConfig
 from sketchparse.pipeline import (
     Candidate,
@@ -30,6 +30,7 @@ from sketchparse.pipeline import (
     generate_candidates_from,
     grid_points,
     load_system,
+    parse,
     predict,
     predict_detailed,
     rank,
@@ -58,6 +59,22 @@ def single_relation_index() -> PatternIndex:
             ),
             freq=1,
         ),
+    ]
+    return index
+
+
+SUPERLATIVE = "( argmax ?x V ( and ( isa ?x T ) ( P1 ?x ?y ) ) )"
+
+
+def superlative_index() -> PatternIndex:
+    index = PatternIndex()
+    index.by_class[SUPERLATIVE] = [
+        PatternEntry(
+            pattern=lf.LfPattern(tuple("argmax 5 isa book a b".split())),
+            template=lf.LfTemplate(
+                tuple("( argmax ?x 5 ( and ( isa ?x book ) ( mso:a.b ?x ?y ) ) )".split()), 0
+            ),
+        )
     ]
     return index
 
@@ -137,22 +154,42 @@ class TestGenerateCandidates:
         assert [c.text for c in candidates] == ["( mso:c.d alpha_beta gamma_delta )"]
 
     def test_value_slot_takes_labeled_number(self):
-        cls = "( argmax ?x V ( and ( isa ?x T ) ( P1 ?x ?y ) ) )"
-        index = PatternIndex()
-        index.by_class[cls] = [
-            PatternEntry(
-                pattern=lf.LfPattern(tuple("argmax 5 isa book a b".split())),
-                template=lf.LfTemplate(
-                    tuple("( argmax ?x 5 ( and ( isa ?x book ) ( mso:a.b ?x ?y ) ) )".split()),
-                    0,
-                ),
-            )
-        ]
         question = tuple("list the top 3 movie by budget".split())
-        candidates, _ = generate_candidates_from(question, cls, [(3, 3), (4, 4)], index)
+        candidates, _ = generate_candidates_from(
+            question, SUPERLATIVE, [(3, 3), (4, 4)], superlative_index()
+        )
         assert candidates[0].text == (
             "( argmax ?x 3 ( and ( isa ?x movie ) ( mso:a.b ?x ?y ) ) )"
         )
+
+    @pytest.mark.parametrize("delimiter", ["(", ")", "|||"])
+    def test_delimiter_entity_span_fills_no_slot(self, delimiter):
+        question = ("what", "is", "birth", "date", "for", delimiter)
+        with pytest.raises(NoCandidates, match="delimiter"):
+            generate_candidates_from(question, SINGLE_RELATION, [(5, 5)], single_relation_index())
+
+    @pytest.mark.parametrize("delimiter", ["(", ")", "|||"])
+    def test_delimiter_type_span_fills_no_slot(self, delimiter):
+        question = ("list", "the", "top", "3", delimiter, "by", "budget")
+        with pytest.raises(NoCandidates, match="delimiter"):
+            generate_candidates_from(question, SUPERLATIVE, [(3, 3), (4, 4)], superlative_index())
+
+    def test_slot_beyond_arity_rejected(self):
+        with pytest.raises(ValueError, match="arity 1"):
+            PatternEntry(
+                pattern=lf.LfPattern(("duo", "entity1", "entity2")),
+                template=lf.LfTemplate(("(", "mso:c.d", "entity1", "entity2", ")"), 1),
+            )
+
+    def test_slot_filling_matches_substitute_template(self, small_splits):
+        train, _, _ = small_splits
+        for entries in build_pattern_index(train).by_class.values():
+            for entry in entries:
+                fillers = [f"e{k}_x" for k in range(entry.template.entity_arity)]
+                tokens = list(entry.template.tokens)
+                for pos, k in entry.entity_positions:
+                    tokens[pos] = fillers[k]
+                assert tuple(tokens) == lf.substitute_template(entry.template, fillers).tokens
 
     def test_duplicate_candidates_collapse(self):
         index = single_relation_index()
@@ -237,7 +274,7 @@ class TestTuneWeights:
             )
         ]
         tuned = tune_weights(packs)
-        top = pipeline._top_candidate(packs[0][1], tuned)
+        top = oracles.top_candidate(packs[0][1], tuned)
         assert top == ("gold",)
 
     def test_empty_dev_rejected(self):
@@ -415,6 +452,45 @@ class TestEndToEnd:
         }
         assert predict(question, trained_system) == ""
 
+    def test_callers_agree_with_parse(self, trained_system, small_splits):
+        _, dev, test = small_splits
+        for sample in (dev.samples + test.samples)[:20]:
+            result = parse(sample.question_tokens, trained_system)
+            order = [s.candidate.text for s in result.ranked]
+            detail = predict_detailed(sample.question, trained_system)
+            assert detail["sketch_class"] == result.sketch_class
+            assert detail["spans"] == [list(span) for span in result.spans]
+            assert detail["predicted_logical_form"] == order[0]
+            assert [c["logical_form"] for c in detail["candidates"]] == order
+            outcome = analyze_sample(trained_system, sample)
+            assert (outcome.pred_class, outcome.pred_spans) == (result.sketch_class, result.spans)
+            assert outcome.pred_lf == result.ranked[0].candidate.tokens
+
+    def test_delimiter_span_yields_diagnostic(self, trained_system, monkeypatch):
+        monkeypatch.setattr(multitask, "predict_spans", lambda *a: [(5, 5)])
+        detail = predict_detailed("what is birth date for (", trained_system)
+        assert "delimiter" in detail["diagnostic"]
+        assert detail["predicted_logical_form"] == "" and detail["candidates"] == []
+        assert detail["sketch_class"] in trained_system.multitask.classes
+        assert detail["spans"] == [[5, 5]]
+
+    @seed(19)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_swapped_tokens_never_raise(self, trained_system, small_splits, data):
+        _, dev, test = small_splits
+        tokens = list(data.draw(st.sampled_from(dev.samples + test.samples)).question_tokens)
+        odd = st.sampled_from(["(", ")", "|||", "3", "1990", "entity1", "?x"]) | st.text(
+            st.characters(min_codepoint=0x80, max_codepoint=0x2FFF), min_size=1, max_size=4
+        )
+        positions = st.integers(0, len(tokens) - 1)
+        for pos, token in data.draw(st.lists(st.tuples(positions, odd), min_size=1, max_size=3)):
+            tokens[pos] = token
+        detail = predict_detailed(" ".join(tokens), trained_system)
+        assert detail["candidates"] or detail["diagnostic"]
+        for cand in detail["candidates"]:
+            lf.parse_logical_form(cand["logical_form"])  # balanced, no stray separator
+
     def test_no_candidates_outcome_runs_first_stages_once(
         self, trained_system, small_splits, monkeypatch
     ):
@@ -434,6 +510,11 @@ class TestEndToEnd:
         assert outcome.pred_class == model.classes[int(np.argmax(probs))]
         assert outcome.pred_spans == spans
         assert len(calls) == 1
+        detail = predict_detailed(sample.question, no_patterns)
+        assert detail["diagnostic"] and detail["candidates"] == []
+        assert detail["sketch_class"] == outcome.pred_class
+        assert detail["spans"] == [list(span) for span in spans]
+        assert len(calls) == 2
 
     def test_tuned_weights_not_worse_than_pattern_only(self, trained_system, small_splits):
         _, dev, _ = small_splits
@@ -444,7 +525,7 @@ class TestEndToEnd:
             return sum(
                 1
                 for gold, pack in packs
-                if pack and pipeline._top_candidate(pack, weights) == gold
+                if pack and oracles.top_candidate(pack, weights) == gold
             ) / len(packs)
 
         assert accuracy(tuned) >= accuracy(FusionWeights(1.0, 0.0, 0.0))
