@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 from . import data, lf, pipeline
 from .data import CorpusError, GenConfig
 from .genscore import EmptyCandidate
-from .learn import UnsupportedCheckpoint
+from .learn import CheckpointError
 from .matchers import sample_pattern_pair
 from .multitask import MultiTaskConfig
 
@@ -111,10 +110,8 @@ def _cmd_train(args) -> int:
             seed=args.seed,
             loss_weights=weights,
         ),
-        matcher=dataclasses.replace(
-            pipeline.MatcherConfig(), hidden=args.hidden, seed=args.seed
-        ),
-        cooccurrence=dataclasses.replace(pipeline.CooccurrenceConfig(), seed=args.seed),
+        matcher=pipeline.MatcherConfig(hidden=args.hidden, seed=args.seed),
+        cooccurrence=pipeline.CooccurrenceConfig(seed=args.seed),
     )
     system = pipeline.train_system(train_corpus, dev_corpus, cfg)
     pipeline.save_system(system, args.out)
@@ -132,12 +129,7 @@ def _cmd_predict(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise data.ParseError(lineno, f"bad JSON ({exc.msg})") from None
-            if "question" not in record:
-                raise data.ParseError(lineno, "record lacks a question field")
+            record = data.json_record(line, lineno, ("question",))
             detail = pipeline.predict_detailed(record["question"], system)
             record.update(detail)
             dst.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
@@ -167,13 +159,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    record = json.loads(args.sample)
-    sample = data.make_sample(
-        question=record["question"],
-        logical_form=record["logical_form"],
-        params=data._params_from_json(record.get("parameters")),
-        question_type=record.get("question_type", ""),
-    )
+    sample = data.read_sample(args.sample)
     qp, lfp = sample_pattern_pair(sample)
     template = lf.derive_template(sample.lf, sample.params, sample.entity_order)
     print(f"sketch:           {sample.sketch_class}")
@@ -198,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, lf.LfError, EmptyCandidate, UnsupportedCheckpoint) as exc:
+    except (CorpusError, lf.LfError, EmptyCandidate, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except FileNotFoundError as exc:

@@ -127,30 +127,47 @@ def _params_from_json(raw: object) -> list[ParamAnnotation]:
     return params
 
 
+def json_record(text: str, line: int, string_fields: Sequence[str]) -> dict:
+    """One JSONL line decoded as an object whose ``string_fields`` are strings."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line, f"bad JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise ParseError(line, f"expected a JSON object, got {type(record).__name__}")
+    for name in string_fields:
+        if name not in record:
+            raise ParseError(line, f"record lacks a {name} field")
+        if not isinstance(record[name], str):
+            raise ParseError(line, f"{name} must be a string, got {type(record[name]).__name__}")
+    return record
+
+
+def read_sample(text: str, line: int = 1) -> Sample:
+    """One JSONL record (question / logical_form / parameters / question_type)
+    as a validated sample; raises ParseError or SpanOutOfRange."""
+    record = json_record(text, line, ("question", "logical_form"))
+    try:
+        return make_sample(
+            question=record["question"],
+            logical_form=record["logical_form"],
+            params=_params_from_json(record.get("parameters")),
+            question_type=record.get("question_type", ""),
+        )
+    except SpanOutOfRange:
+        raise
+    except (KeyError, TypeError, ValueError, lf.LfError) as exc:
+        raise ParseError(line, str(exc)) from None
+
+
 def load_jsonl(path: str | Path, split: str = "train") -> Corpus:
-    """Read one JSON object per line: question / logical_form / parameters / question_type."""
+    """Read one ``read_sample`` record per non-blank line."""
     samples: list[Sample] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"bad JSON ({exc.msg})") from None
-            try:
-                sample = make_sample(
-                    question=record["question"],
-                    logical_form=record["logical_form"],
-                    params=_params_from_json(record.get("parameters")),
-                    question_type=record.get("question_type", ""),
-                )
-            except SpanOutOfRange:
-                raise
-            except (KeyError, TypeError, ValueError, lf.LfError) as exc:
-                raise ParseError(lineno, str(exc)) from None
-            samples.append(sample)
+            if line:
+                samples.append(read_sample(line, lineno))
     return Corpus(samples=samples, split=split)
 
 

@@ -68,10 +68,10 @@ class EncoderParams:
 
 
 def init_encoder(
-    vocab_size: int, hidden: int, window: int, rng: np.random.Generator, scale: float = 0.1
+    vocab_size: int, hidden: int, window: int, rng: np.random.Generator
 ) -> EncoderParams:
     return EncoderParams(
-        embedding=rng.normal(0.0, scale, size=(vocab_size, hidden)), window=window
+        embedding=rng.normal(0.0, 0.1, size=(vocab_size, hidden)), window=window
     )
 
 
@@ -148,14 +148,17 @@ def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.nd
     return -float(logp[target]), grad
 
 
+# Adam's moment decay rates and denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for a named parameter set."""
 
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -177,8 +180,8 @@ def step(
     """One Adam update, in place on the parameter arrays."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, grad in grads.items():
         if name not in params:
             raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
@@ -188,11 +191,11 @@ def step(
             )
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         params[name] -= state.lr * update
     return params
 
@@ -201,10 +204,14 @@ def step(
 # Checkpoint container: named float64 arrays in an .npz plus JSON metadata.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-class UnsupportedCheckpoint(Exception):
+class CheckpointError(Exception):
+    """A model directory whose files disagree with each other or with this code."""
+
+
+class UnsupportedCheckpoint(CheckpointError):
     """A checkpoint written in a format_version this code does not read."""
 
 

@@ -126,13 +126,19 @@ class MatcherConfig:
     epochs: int = 3
     refit_epochs: int = 2
     refits: int = 2
-    negatives: int = 20
-    batch_size: int = 32
-    lr: float = 1e-2
     seed: int = 0
-    hard_threshold: float = 1e-4
-    hard_count: int = 20
-    easy_count: int = 5
+
+
+# Uniform in-class negatives per question in each base epoch, the pair batch
+# size and the Adam learning rate of every member.
+NEGATIVES = 20
+BATCH_SIZE = 32
+LR = 1e-2
+# Ranking resampling: up to HARD_COUNT negatives the base model scores above
+# HARD_THRESHOLD and up to EASY_COUNT of the rest.
+HARD_THRESHOLD = 1e-4
+HARD_COUNT = 20
+EASY_COUNT = 5
 
 
 @dataclass
@@ -247,9 +253,9 @@ def sample_negatives(
 def select_by_rank(
     scored_negatives: Sequence[tuple[lf.LfPattern, float]],
     rng: random.Random,
-    hard_count: int = 20,
-    easy_count: int = 5,
-    threshold: float = 1e-4,
+    hard_count: int = HARD_COUNT,
+    easy_count: int = EASY_COUNT,
+    threshold: float = HARD_THRESHOLD,
 ) -> list[lf.LfPattern]:
     """Pick min(hard_count, |p > threshold|) hard and min(easy_count, rest) easy negatives."""
     hard = [p for p, prob in scored_negatives if prob > threshold]
@@ -263,9 +269,9 @@ def ranking_resample(
     model: MatcherModel,
     pool: Sequence[tuple[lf.QuestionPattern, str, lf.LfPattern, Sequence[lf.LfPattern]]],
     rng: random.Random | int,
-    hard_count: int = 20,
-    easy_count: int = 5,
-    threshold: float = 1e-4,
+    hard_count: int = HARD_COUNT,
+    easy_count: int = EASY_COUNT,
+    threshold: float = HARD_THRESHOLD,
     scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] | None = None,
 ) -> list[PatternPairSample]:
     """Per question: rescore its negative pool with ``model`` and keep the
@@ -327,13 +333,12 @@ def _train_pairs_epoch(
     pairs: list[tuple[np.ndarray, np.ndarray, int]],
     opt: AdamState,
     shuffler: np.random.Generator,
-    batch_size: int,
 ) -> float:
     params = model.params()
     order = shuffler.permutation(len(pairs))
     total = 0.0
-    for start in range(0, len(order), batch_size):
-        batch = [pairs[i] for i in order[start : start + batch_size]]
+    for start in range(0, len(order), BATCH_SIZE):
+        batch = [pairs[i] for i in order[start : start + BATCH_SIZE]]
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         total += pair_loss_grads(model, batch, grads) * len(batch)
         learn.step(params, grads, opt)
@@ -388,15 +393,15 @@ def train_matcher_ensemble(
     encoded: dict[lf.TokenSeq, np.ndarray] = {}
     pos_encoded = _encode_pairs(vocab, positives, encoded)
 
-    opt = AdamState.for_params(base.params(), lr=cfg.lr)
+    opt = AdamState.for_params(base.params(), lr=LR)
     shuffler = np.random.default_rng(cfg.seed + 1)
     neg_rng = random.Random(cfg.seed + 2)
     for epoch in range(cfg.epochs):
         negatives: list[PatternPairSample] = []
         for qp, cls, gold, _ in questions:
-            negatives.extend(sample_negatives(qp, cls, gold, index, cfg.negatives, neg_rng))
+            negatives.extend(sample_negatives(qp, cls, gold, index, NEGATIVES, neg_rng))
         pairs = pos_encoded + _encode_pairs(vocab, negatives, encoded)
-        loss = _train_pairs_epoch(base, pairs, opt, shuffler, cfg.batch_size)
+        loss = _train_pairs_epoch(base, pairs, opt, shuffler)
         logger.info("matcher base epoch %d: loss %.4f", epoch, loss)
 
     members = [base]
@@ -404,20 +409,12 @@ def train_matcher_ensemble(
     base_scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] = {}
     for refit_idx in range(cfg.refits):
         refit = base.clone()
-        opt = AdamState.for_params(refit.params(), lr=cfg.lr)
+        opt = AdamState.for_params(refit.params(), lr=LR)
         refit_rng = random.Random(cfg.seed + 100 + refit_idx)
         for epoch in range(cfg.refit_epochs):
-            resampled = ranking_resample(
-                base,
-                questions,
-                refit_rng,
-                cfg.hard_count,
-                cfg.easy_count,
-                cfg.hard_threshold,
-                scores=base_scores,
-            )
+            resampled = ranking_resample(base, questions, refit_rng, scores=base_scores)
             pairs = pos_encoded + _encode_pairs(vocab, resampled, encoded)
-            loss = _train_pairs_epoch(refit, pairs, opt, shuffler, cfg.batch_size)
+            loss = _train_pairs_epoch(refit, pairs, opt, shuffler)
             logger.info("matcher refit %d epoch %d: loss %.4f", refit_idx, epoch, loss)
         members.append(refit)
     return MatcherEnsemble(members=members)
@@ -451,9 +448,6 @@ def pattern_ranking_accuracy(
 
 @dataclass(frozen=True)
 class CooccurrenceConfig:
-    epochs: int = 3
-    negatives_per_entity: int = 5
-    lr: float = 0.1
     seed: int = 0
 
 
@@ -556,20 +550,16 @@ def build_cooccurrence(
     examples: list[tuple[np.ndarray, int]] = []
     for pred, ent in sorted(pair_counts):
         examples.append((model.features(pred, ent), 1))
-    for ent in sorted(ent_counts):
+    for ent in sorted(ent_counts):  # up to 5 never-seen predicates per entity
         unseen = [p for p in preds if (p, ent) not in pair_counts]
-        chosen = (
-            unseen
-            if len(unseen) <= cfg.negatives_per_entity
-            else rng.sample(unseen, cfg.negatives_per_entity)
-        )
+        chosen = unseen if len(unseen) <= 5 else rng.sample(unseen, 5)
         for pred in chosen:
             examples.append((model.features(pred, ent), 0))
 
     params = {"head_w": model.head.weight, "head_b": model.head.bias}
-    opt = AdamState.for_params(params, lr=cfg.lr)
+    opt = AdamState.for_params(params, lr=0.1)
     shuffler = np.random.default_rng(cfg.seed + 1)
-    for _ in range(cfg.epochs):
+    for _ in range(3):  # epochs
         order = shuffler.permutation(len(examples))
         for start in range(0, len(order), 32):
             grads = {k: np.zeros_like(v) for k, v in params.items()}

@@ -24,6 +24,11 @@ LABELS = ("b", "i", "o", "p")
 L_B, L_I, L_O, L_P = range(4)
 
 
+# Questions are cut to their first MAX_LEN tokens, in training and at parse
+# time, which also bounds what one question can cost.
+MAX_LEN = 64
+
+
 class BadLabel(Exception):
     pass
 
@@ -37,7 +42,6 @@ class MultiTaskConfig:
     lr: float = 1e-2
     seed: int = 0
     loss_weights: tuple[float, float] = (1.0, 2.0)  # (sketch CE, labeling CRF)
-    max_len: int = 64
 
 
 @dataclass
@@ -220,13 +224,13 @@ def extract_entities(
 
 def classify_sketch(question_tokens: Sequence[str], model: MultiTaskModel) -> np.ndarray:
     """Class probabilities for a question; argmax is the predicted sketch."""
-    ids = model.vocab.encode(question_tokens[: model.config.max_len])
+    ids = model.vocab.encode(question_tokens[:MAX_LEN])
     sent = learn.encode_sentence(ids, model.encoder)
     return learn.softmax(model.cls.weight @ sent + model.cls.bias)
 
 
 def predict_labels(question_tokens: Sequence[str], model: MultiTaskModel) -> list[int]:
-    ids = model.vocab.encode(question_tokens[: model.config.max_len])
+    ids = model.vocab.encode(question_tokens[:MAX_LEN])
     token_mat = learn.encode_tokens(ids, model.encoder)
     emissions = model.emit.weight @ token_mat + model.emit.bias[:, None]
     return viterbi(emissions, model.trans)
@@ -339,8 +343,8 @@ def train_multitask(
 
     encoded = []
     for sample in train:
-        ids = vocab.encode(sample.question_tokens[: cfg.max_len])
-        encoded.append((ids, class_to_idx[sample.sketch_class], gold_labels(sample, cfg.max_len)))
+        ids = vocab.encode(sample.question_tokens[:MAX_LEN])
+        encoded.append((ids, class_to_idx[sample.sketch_class], gold_labels(sample, MAX_LEN)))
 
     params = model.params()
     opt = AdamState.for_params(params, lr=cfg.lr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import genscore, learn, lf, matchers, multitask
 from .data import Corpus, EmptyCorpus, Sample
-from .genscore import DEFAULT_MEMBERS, GenMemberConfig, GenModel
+from .genscore import GenMemberConfig, GenModel
 from .learn import EncoderParams, LinearHead, Vocab
 from .matchers import (
     CooccurrenceConfig,
@@ -286,9 +286,8 @@ def grid_points(step: float = 0.05) -> list[FusionWeights]:
 
 def tune_weights(
     dev_packs: Sequence[tuple[lf.TokenSeq, Sequence[tuple[lf.TokenSeq, float, float, float, int]]]],
-    step: float = 0.05,
 ) -> FusionWeights:
-    """Exhaustive simplex grid search maximizing dev exact match.
+    """Exhaustive search of the 231-point simplex grid maximizing dev exact match.
 
     Ties prefer larger w_pattern, then larger w_pe, so the pattern-only corner
     wins when every weighting is equivalent. Each pack is scored at every grid
@@ -296,7 +295,7 @@ def tune_weights(
     """
     if not dev_packs:
         raise EmptyCorpus("cannot tune fusion weights without scored dev samples")
-    points = grid_points(step)
+    points = grid_points()
     w = np.array([[p.w_pattern, p.w_pe, p.w_gen] for p in points])
     hits = np.zeros(len(points), dtype=np.int64)
     for gold, pack in dev_packs:
@@ -501,8 +500,6 @@ class SystemConfig:
     multitask: MultiTaskConfig = MultiTaskConfig()
     matcher: MatcherConfig = MatcherConfig()
     cooccurrence: CooccurrenceConfig = CooccurrenceConfig()
-    gen_members: tuple[GenMemberConfig, ...] = DEFAULT_MEMBERS
-    grid_step: float = 0.05
 
 
 def _dev_packs(system: ParserSystem, dev: Corpus):
@@ -530,7 +527,7 @@ def train_system(train: Corpus, dev: Corpus, cfg: SystemConfig | None = None) ->
     logger.info("pattern index: %d entries", index.size())
     matcher = matchers.train_matcher_ensemble(train, index, cfg.matcher)
     cooccurrence = matchers.build_cooccurrence(train, cfg.cooccurrence)
-    gen = genscore.fit_genmodel(train, cfg.gen_members)
+    gen = genscore.fit_genmodel(train)
     system = ParserSystem(
         multitask=mt,
         index=index,
@@ -541,7 +538,7 @@ def train_system(train: Corpus, dev: Corpus, cfg: SystemConfig | None = None) ->
         config=cfg,
     )
     if dev.samples:
-        system.weights = tune_weights(_dev_packs(system, dev), cfg.grid_step)
+        system.weights = tune_weights(_dev_packs(system, dev))
         logger.info("tuned fusion weights: %s", system.weights)
     return system
 
@@ -622,6 +619,14 @@ def save_system(system: ParserSystem, model_dir: str | Path) -> None:
     )
 
 
+_MANIFEST_KEYS = (
+    "classes", "mt_vocab", "matcher_vocab", "matcher_members", "fusion_weights", "config"
+)
+_CONFIG_BLOCKS = {
+    "multitask": MultiTaskConfig, "matcher": MatcherConfig, "cooccurrence": CooccurrenceConfig
+}
+
+
 def _config_from_dict(raw: dict) -> SystemConfig:
     mt = dict(raw["multitask"])
     mt["loss_weights"] = tuple(mt["loss_weights"])
@@ -629,22 +634,84 @@ def _config_from_dict(raw: dict) -> SystemConfig:
         multitask=MultiTaskConfig(**mt),
         matcher=MatcherConfig(**raw["matcher"]),
         cooccurrence=CooccurrenceConfig(**raw["cooccurrence"]),
-        gen_members=tuple(GenMemberConfig(*pair) for pair in raw["gen_members"]),
-        grid_step=raw["grid_step"],
     )
 
 
-def load_system(model_dir: str | Path) -> ParserSystem:
-    model_dir = Path(model_dir)
-    manifest = learn.load_json(model_dir / MANIFEST_NAME)
+def _expected_shapes(manifest: dict, cfg: SystemConfig) -> dict[str, tuple[int, ...]]:
+    """Every array a system with this manifest reads, with its shape."""
+    h, w = cfg.multitask.hidden, cfg.multitask.window
+    n_classes, n_labels = len(manifest["classes"]), len(multitask.LABELS)
+    shapes = {
+        "mt.embedding": (len(manifest["mt_vocab"]), h),
+        "mt.cls_w": (n_classes, h),
+        "mt.cls_b": (n_classes,),
+        "mt.emit_w": (n_labels, (2 * w + 1) * h),
+        "mt.emit_b": (n_labels,),
+        "mt.trans": (n_labels, n_labels),
+        "pe.head_w": (2, 5),
+        "pe.head_b": (2,),
+    }
+    hm = cfg.matcher.hidden
+    for i in range(manifest["matcher_members"]):
+        shapes[f"matcher.{i}.embedding"] = (len(manifest["matcher_vocab"]), hm)
+        shapes[f"matcher.{i}.head_w"] = (2, 4 * hm)
+        shapes[f"matcher.{i}.head_b"] = (2,)
+    return shapes
+
+
+def _check_manifest(manifest: object, path: Path) -> SystemConfig:
+    """The manifest's config, once its version, keys and config blocks are
+    what this code writes; raises CheckpointError otherwise."""
+    if not isinstance(manifest, dict):
+        raise learn.CheckpointError(f"{path}: not a JSON object")
     version = manifest.get("format_version")
     if version != learn.CHECKPOINT_VERSION:
         raise learn.UnsupportedCheckpoint(
-            f"{model_dir / MANIFEST_NAME}: format_version {version!r}, "
-            f"this version reads {learn.CHECKPOINT_VERSION}"
+            f"{path}: format_version {version!r}, this version reads {learn.CHECKPOINT_VERSION}"
         )
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise learn.CheckpointError(f"{path}: lacks {missing}")
+    members = manifest["matcher_members"]
+    if not isinstance(members, int) or members < 1:
+        raise learn.CheckpointError(
+            f"{path}: matcher_members must be a positive integer, got {members!r}"
+        )
+    raw = manifest["config"]
+    if not isinstance(raw, dict) or set(raw) != set(_CONFIG_BLOCKS):
+        raise learn.CheckpointError(f"{path}: config must hold the blocks {sorted(_CONFIG_BLOCKS)}")
+    for name, cls in _CONFIG_BLOCKS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        if not isinstance(raw[name], dict) or set(raw[name]) != fields:
+            raise learn.CheckpointError(f"{path}: config block {name!r} must hold {sorted(fields)}")
+    return _config_from_dict(raw)
+
+
+def _check_arrays(
+    arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]], path: Path
+) -> None:
+    """Raise CheckpointError unless ``arrays`` holds exactly the expected
+    names, each with its shape. Compares shapes only, never the data."""
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise learn.CheckpointError(f"{path}: lacks {name!r}")
+        if arrays[name].shape != shape:
+            raise learn.CheckpointError(
+                f"{path}: {name!r} has shape {arrays[name].shape}, the manifest implies {shape}"
+            )
+    extra = sorted(set(arrays) - set(expected))
+    if extra:
+        raise learn.CheckpointError(f"{path}: holds {extra}, which the manifest does not name")
+
+
+def load_system(model_dir: str | Path) -> ParserSystem:
+    """Rebuild a saved system. Raises CheckpointError, before building
+    anything, when the directory's files disagree with each other."""
+    model_dir = Path(model_dir)
+    manifest = learn.load_json(model_dir / MANIFEST_NAME)
+    cfg = _check_manifest(manifest, model_dir / MANIFEST_NAME)
     arrays = learn.load_arrays(model_dir / ARRAYS_NAME)
-    cfg = _config_from_dict(manifest["config"])
+    _check_arrays(arrays, _expected_shapes(manifest, cfg), model_dir / ARRAYS_NAME)
 
     mt_vocab = Vocab(tokens=list(manifest["mt_vocab"]))
     mt = MultiTaskModel(

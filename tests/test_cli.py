@@ -176,15 +176,24 @@ class TestExitCodes:
             cli.main(["frobnicate"])
         assert err.value.code == 1
 
-    def test_data_error_is_two(self, workspace, tmp_path):
+    def test_data_error_is_two(self, workspace, tmp_path, capsys):
         _, _, model_dir = workspace
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("{not json\n")
         out = tmp_path / "out.jsonl"
-        rc = cli.main(
-            ["predict", "--model", str(model_dir), "--input", str(bad), "--out", str(out)]
-        )
-        assert rc == 2
+        for line in (
+            "{not json",
+            "5",
+            "null",
+            '{"question": 5}',
+            '{"question": null}',
+            '{"question": ["a"]}',
+        ):
+            bad.write_text(line + "\n")
+            rc = cli.main(
+                ["predict", "--model", str(model_dir), "--input", str(bad), "--out", str(out)]
+            )
+            assert rc == 2, line
+            assert capsys.readouterr().err.startswith("data error: line 1:"), line
 
     def test_missing_file_is_two(self, workspace, tmp_path):
         _, _, model_dir = workspace
@@ -200,11 +209,29 @@ class TestExitCodes:
 
     def test_other_checkpoint_version_is_two(self, workspace, tmp_path, capsys):
         _, data_dir, model_dir = workspace
-        edited = tmp_path / "model_v99"
+        for version in (1, 99):
+            edited = tmp_path / f"model_v{version}"
+            shutil.copytree(model_dir, edited)
+            manifest = json.loads((edited / "manifest.json").read_text())
+            manifest["format_version"] = version
+            (edited / "manifest.json").write_text(json.dumps(manifest))
+            rc = cli.main(
+                [
+                    "predict",
+                    "--model", str(edited),
+                    "--input", str(data_dir / "test.jsonl"),
+                    "--out", str(tmp_path / "out.jsonl"),
+                ]
+            )
+            assert rc == 2
+            assert f"format_version {version}," in capsys.readouterr().err
+
+    def test_inconsistent_checkpoint_is_two(self, workspace, checkpoint_edit, tmp_path, capsys):
+        _, data_dir, model_dir = workspace
+        edit, array_name = checkpoint_edit
+        edited = tmp_path / "model_edited"
         shutil.copytree(model_dir, edited)
-        manifest = json.loads((edited / "manifest.json").read_text())
-        manifest["format_version"] = 99
-        (edited / "manifest.json").write_text(json.dumps(manifest))
+        edit(edited)
         rc = cli.main(
             [
                 "predict",
@@ -214,7 +241,8 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
-        assert "format_version 99" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and array_name in err[0]
 
     def test_template_slot_beyond_arity_is_two(self, workspace, tmp_path, capsys):
         _, data_dir, model_dir = workspace
@@ -235,8 +263,15 @@ class TestExitCodes:
         assert rc == 2
         assert "beyond its arity" in capsys.readouterr().err
 
-    def test_bad_sample_json_is_two(self):
-        assert cli.main(["inspect", "--sample", "{broken"]) == 2
+    def test_bad_sample_json_is_two(self, capsys):
+        for sample in (
+            "{broken",
+            "5",
+            '{"question": 5, "logical_form": "( a )"}',
+            '{"logical_form": "( a )"}',
+        ):
+            assert cli.main(["inspect", "--sample", sample]) == 2, sample
+            assert capsys.readouterr().err.startswith("data error:"), sample
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

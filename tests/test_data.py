@@ -58,10 +58,19 @@ class TestJsonl:
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(BIRTH_RECORD) + "\n{oops\n")
-        with pytest.raises(ParseError) as err:
-            load_jsonl(path)
-        assert err.value.line == 2
+        for line in (
+            "{oops",
+            "5",
+            "null",
+            '["a"]',
+            '{"question": 5, "logical_form": "( a )"}',
+            '{"question": "what is a", "logical_form": 7}',
+            '{"logical_form": "( a )"}',
+        ):
+            path.write_text(json.dumps(BIRTH_RECORD) + "\n" + line + "\n")
+            with pytest.raises(ParseError) as err:
+                load_jsonl(path)
+            assert err.value.line == 2
 
     def test_surface_span_mismatch_rejected(self, tmp_path):
         record = dict(BIRTH_RECORD)

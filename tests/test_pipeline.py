@@ -648,14 +648,40 @@ class TestPersistence:
             )
 
     def test_other_format_version_rejected(self, trained_system, tmp_path):
-        model_dir = tmp_path / "model_v99"
+        for version in (1, 99):
+            model_dir = tmp_path / f"model_v{version}"
+            save_system(trained_system, model_dir)
+            manifest_path = model_dir / pipeline.MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(learn.UnsupportedCheckpoint, match=f"format_version {version},"):
+                load_system(model_dir)
+
+    def test_inconsistent_checkpoint_rejected(self, trained_system, checkpoint_edit, tmp_path):
+        edit, array_name = checkpoint_edit
+        model_dir = tmp_path / "model"
         save_system(trained_system, model_dir)
-        manifest_path = model_dir / pipeline.MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 99
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(learn.UnsupportedCheckpoint, match="format_version 99"):
+        edit(model_dir)
+        with pytest.raises(learn.CheckpointError, match=array_name):
             load_system(model_dir)
+
+    def test_save_load_save_byte_identical(self, trained_system, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        save_system(trained_system, first)
+        save_system(load_system(first), second)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(
+            [
+                pipeline.MANIFEST_NAME,
+                pipeline.ARRAYS_NAME,
+                pipeline.PATTERNS_NAME,
+                pipeline.COOCCUR_NAME,
+                pipeline.GENMODEL_NAME,
+            ]
+        )
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_outcome_analysis_stable_after_reload(
         self, trained_system, small_splits, tmp_path
