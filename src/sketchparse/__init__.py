@@ -29,8 +29,6 @@ from .lf import (
     derive_template,
     extract_sketch,
     parse_logical_form,
-    substitute_sketch,
-    substitute_template,
     tokenize,
     tokenize_question,
 )
@@ -44,8 +42,6 @@ from .matchers import (
 )
 from .multitask import (
     classify_sketch,
-    crf_log_partition,
-    crf_nll,
     extract_entities,
     train_multitask,
     viterbi,
@@ -82,8 +78,6 @@ __all__ = [
     "build_cooccurrence",
     "build_pattern_index",
     "classify_sketch",
-    "crf_log_partition",
-    "crf_nll",
     "derive_lf_pattern",
     "derive_question_pattern",
     "derive_template",
@@ -108,8 +102,6 @@ __all__ = [
     "seq_loss",
     "split",
     "split_logical_form",
-    "substitute_sketch",
-    "substitute_template",
     "tokenize",
     "tokenize_question",
     "train_matcher_ensemble",

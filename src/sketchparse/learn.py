@@ -92,9 +92,12 @@ def encode_sentence(ids: np.ndarray, encoder: EncoderParams) -> np.ndarray:
     return encoder.embedding[ids].mean(axis=0)
 
 
-def window_indices(length: int, window: int) -> np.ndarray:
-    """(length, 2w+1) ids into a sequence padded with w PADs on each side."""
-    return np.arange(length)[:, None] + np.arange(2 * window + 1)[None, :]
+def window_ids(ids: np.ndarray, window: int) -> np.ndarray:
+    """(len(ids), 2w+1) ids of each token's context, tokens i-w .. i+w, with
+    PAD outside the sequence."""
+    pad = np.full(window, PAD, dtype=np.int64)
+    padded = np.concatenate([pad, ids, pad])
+    return padded[np.arange(len(ids))[:, None] + np.arange(2 * window + 1)[None, :]]
 
 
 def encode_tokens(ids: np.ndarray, encoder: EncoderParams) -> np.ndarray:
@@ -105,17 +108,8 @@ def encode_tokens(ids: np.ndarray, encoder: EncoderParams) -> np.ndarray:
     """
     if len(ids) == 0:
         raise EmptyInput("cannot encode an empty token sequence")
-    w = encoder.window
-    padded = np.concatenate([np.full(w, PAD, dtype=np.int64), ids, np.full(w, PAD, dtype=np.int64)])
-    ctx = padded[window_indices(len(ids), w)]  # (m, 2w+1)
+    ctx = window_ids(ids, encoder.window)  # (m, 2w+1)
     return encoder.embedding[ctx].reshape(len(ids), -1).T
-
-
-def encode_pair(a_ids: np.ndarray, b_ids: np.ndarray, encoder: EncoderParams) -> np.ndarray:
-    """[mean(a); mean(b); |mean(a)-mean(b)|; mean(a)*mean(b)], a 4h vector."""
-    a = encode_sentence(a_ids, encoder)
-    b = encode_sentence(b_ids, encoder)
-    return np.concatenate([a, b, np.abs(a - b), a * b])
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

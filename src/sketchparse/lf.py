@@ -56,10 +56,6 @@ class UnknownEntity(LfError):
         self.surface = surface
 
 
-class ArityMismatch(LfError):
-    pass
-
-
 @dataclass(frozen=True)
 class ParamAnnotation:
     """One annotated parameter: its logical-form surface, kind and inclusive token span."""
@@ -96,9 +92,6 @@ class Sketch:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    def binding_map(self) -> dict[str, str]:
-        return dict(self.bindings)
 
 
 @dataclass(frozen=True)
@@ -240,12 +233,6 @@ def extract_sketch(lf: LogicalForm, params: Sequence[ParamAnnotation]) -> Sketch
     return Sketch(tokens=tuple(out), bindings=tuple(bindings))
 
 
-def substitute_sketch(sketch: Sketch) -> LogicalForm:
-    """Invert extract_sketch by writing the bound tokens back into the sketch."""
-    binding = sketch.binding_map()
-    return LogicalForm(tuple(binding.get(tok, tok) for tok in sketch.tokens))
-
-
 def question_entity_order(params: Sequence[ParamAnnotation]) -> dict[str, int]:
     """Map each distinct entity surface to its 1-based question-order index."""
     order: dict[str, int] = {}
@@ -340,31 +327,8 @@ def derive_template(
     return LfTemplate(tokens=tuple(out), entity_arity=max_k)
 
 
-def normalize_surface(surface: str) -> str:
-    """Underscore-join a possibly multi-word surface, logical-form style."""
-    return "_".join(surface.split())
-
-
 def span_surface(question: TokenSeq, span: tuple[int, int]) -> str:
     return "_".join(question[span[0] : span[1] + 1])
-
-
-def substitute_template(template: LfTemplate, fillers: Sequence[str]) -> LogicalForm:
-    """Fill entityK slots with fillers[K-1]; the output is re-checked for balance."""
-    if len(fillers) != template.entity_arity:
-        raise ArityMismatch(
-            f"template arity {template.entity_arity}, got {len(fillers)} fillers"
-        )
-    out: list[str] = []
-    for tok in template.tokens:
-        k = entity_slot(tok)
-        if k:
-            if k > len(fillers):
-                raise ArityMismatch(f"slot entity{k} beyond {len(fillers)} fillers")
-            out.append(normalize_surface(fillers[k - 1]))
-        else:
-            out.append(tok)
-    return parse_logical_form(" ".join(out))
 
 
 def numeric_positions(tokens: Sequence[str]) -> list[int]:

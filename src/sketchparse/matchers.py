@@ -170,15 +170,26 @@ def init_matcher(vocab: Vocab, cfg: MatcherConfig) -> MatcherModel:
     return MatcherModel(vocab=vocab, encoder=encoder, head=LinearHead.zeros(2, 4 * cfg.hidden))
 
 
+def pair_logits(
+    a: np.ndarray, b: np.ndarray, head: LinearHead
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair head over (n, h) mean embeddings: features
+    [a, b, |a-b|, a*b], (n, 4h), and their (n, 2) logits. ``a`` may be one
+    (h,) row shared by every row of ``b``."""
+    if a.ndim == 1:
+        a = np.broadcast_to(a, b.shape)
+    feats = np.concatenate([a, b, np.abs(a - b), a * b], axis=1)
+    return feats, feats @ head.weight.T + head.bias
+
+
 def score_pair(
     qp_tokens: Sequence[str], lfp_tokens: Sequence[str], model: MatcherModel
 ) -> float:
     """Probability that the pair is a correct match (class 1 of the head)."""
-    feats = learn.encode_pair(
-        model.vocab.encode(qp_tokens), model.vocab.encode(lfp_tokens), model.encoder
-    )
-    probs = learn.softmax(model.head.weight @ feats + model.head.bias)
-    return float(probs[1])
+    a = learn.encode_sentence(model.vocab.encode(qp_tokens), model.encoder)
+    b = learn.encode_sentence(model.vocab.encode(lfp_tokens), model.encoder)
+    _, logits = pair_logits(a[None, :], b[None, :], model.head)
+    return float(learn.softmax(logits[0])[1])
 
 
 def pair_loss_grads(
@@ -207,9 +218,7 @@ def pair_loss_grads(
     )
     means = bag @ emb
     a, b = means[:n], means[n:]
-    diff = a - b
-    feats = np.concatenate([a, b, np.abs(diff), a * b], axis=1)
-    logits = feats @ model.head.weight.T + model.head.bias
+    feats, logits = pair_logits(a, b, model.head)
     labels = np.array(labels)
     rows = np.arange(n)
     total = -float(learn.log_softmax(logits)[rows, labels].sum())
@@ -219,7 +228,7 @@ def pair_loss_grads(
     grads["head_b"] += d_logits.sum(axis=0)
     d_feats = d_logits @ model.head.weight
     h = emb.shape[1]
-    sign = np.sign(diff)
+    sign = np.sign(a - b)
     d_a = d_feats[:, :h] + sign * d_feats[:, 2 * h : 3 * h] + b * d_feats[:, 3 * h :]
     d_b = d_feats[:, h : 2 * h] - sign * d_feats[:, 2 * h : 3 * h] + a * d_feats[:, 3 * h :]
     grads["embedding"] += bag.T @ np.concatenate([d_a, d_b])
@@ -321,9 +330,7 @@ class MatcherEnsemble:
         probs = np.empty((len(pool), len(self.members)))
         for k, member in enumerate(self.members):
             a = learn.encode_sentence(member.vocab.encode(qp_tokens), member.encoder)
-            b = means[k]
-            feats = np.concatenate([np.broadcast_to(a, b.shape), b, np.abs(a - b), a * b], axis=1)
-            logits = feats @ member.head.weight.T + member.head.bias
+            _, logits = pair_logits(a, means[k], member.head)
             probs[:, k] = learn.softmax(logits, axis=1)[:, 1]
         return probs.mean(axis=1)
 
@@ -418,27 +425,6 @@ def train_matcher_ensemble(
             logger.info("matcher refit %d epoch %d: loss %.4f", refit_idx, epoch, loss)
         members.append(refit)
     return MatcherEnsemble(members=members)
-
-
-def pattern_ranking_accuracy(
-    scorer: MatcherEnsemble | MatcherModel, corpus: Corpus, index: PatternIndex
-) -> float:
-    """Fraction of samples whose gold pattern outranks all same-class patterns."""
-    if not corpus.samples:
-        return 0.0
-    ensemble = scorer if isinstance(scorer, MatcherEnsemble) else MatcherEnsemble([scorer])
-    hits = 0
-    for sample in corpus:
-        qp, gold = sample_pattern_pair(sample)
-        patterns = [e.pattern.tokens for e in index.patterns(sample.sketch_class)]
-        if gold.tokens not in patterns:
-            continue
-        scored = sorted(
-            zip(ensemble.score(qp.tokens, patterns).tolist(), patterns),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        hits += scored[0][1] == gold.tokens
-    return hits / len(corpus.samples)
 
 
 # ---------------------------------------------------------------------------

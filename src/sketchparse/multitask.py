@@ -112,19 +112,6 @@ def crf_score(emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]) -
     return total
 
 
-def crf_log_partition(emissions: np.ndarray, trans: np.ndarray) -> float:
-    """log sum over all k^m paths of exp(path score), by the forward recursion."""
-    k, m = emissions.shape
-    alpha = emissions[:, 0].astype(np.float64)
-    for t in range(1, m):
-        alpha = logsumexp(alpha[:, None] + trans, axis=0) + emissions[:, t]
-    return float(logsumexp(alpha))
-
-
-def crf_nll(emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]) -> float:
-    return crf_log_partition(emissions, trans) - crf_score(emissions, trans, labels)
-
-
 def crf_nll_grad(
     emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -242,19 +229,6 @@ def predict_spans(
     return extract_entities(question_tokens, predict_labels(question_tokens, model))
 
 
-def joint_loss(
-    model: MultiTaskModel, ids: np.ndarray, class_idx: int, labels: Sequence[int]
-) -> tuple[float, float, float]:
-    """(joint, sketch CE, CRF NLL) for one sample, joint = w_s*CE + w_e*NLL."""
-    w_s, w_e = model.config.loss_weights
-    sent = learn.encode_sentence(ids, model.encoder)
-    ce, _ = learn.softmax_cross_entropy(model.cls.weight @ sent + model.cls.bias, class_idx)
-    token_mat = learn.encode_tokens(ids, model.encoder)
-    emissions = model.emit.weight @ token_mat + model.emit.bias[:, None]
-    nll = crf_nll(emissions, model.trans, labels)
-    return w_s * ce + w_e * nll, ce, nll
-
-
 def sample_grads(
     model: MultiTaskModel,
     ids: np.ndarray,
@@ -287,13 +261,9 @@ def sample_grads(
     grads["emit_b"] += w_e * d_emissions.sum(axis=1)
     grads["trans"] += w_e * d_trans
     d_tokens = model.emit.weight.T @ d_emissions  # ((2w+1)h, m)
-    padded = np.concatenate(
-        [np.full(window, learn.PAD, dtype=np.int64), ids, np.full(window, learn.PAD, dtype=np.int64)]
-    )
-    ctx = padded[learn.window_indices(m, window)]  # (m, 2w+1)
     np.add.at(
         grads["embedding"],
-        ctx,
+        learn.window_ids(ids, window),
         w_e * d_tokens.T.reshape(m, 2 * window + 1, hidden),
     )
     return w_s * ce + w_e * nll

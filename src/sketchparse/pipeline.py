@@ -5,11 +5,12 @@ metrics, and system training plus checkpoint persistence."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -619,12 +620,85 @@ def save_system(system: ParserSystem, model_dir: str | Path) -> None:
     )
 
 
-_MANIFEST_KEYS = (
-    "classes", "mt_vocab", "matcher_vocab", "matcher_members", "fusion_weights", "config"
-)
 _CONFIG_BLOCKS = {
     "multitask": MultiTaskConfig, "matcher": MatcherConfig, "cooccurrence": CooccurrenceConfig
 }
+# The JSON shape of each file load_system reads. A shape is a scalar type,
+# list[S], dict[str, S], tuple[S1, ..., Sn] (a list of n items) or
+# {key: S, ...} (an object with exactly those keys).
+_MANIFEST_SHAPE = {
+    "format_version": int,
+    "classes": list[str],
+    "mt_vocab": list[str],
+    "matcher_vocab": list[str],
+    "matcher_members": int,
+    "fusion_weights": dict.fromkeys(PATTERN_ONLY.as_dict(), float),
+    "config": {name: get_type_hints(cls) for name, cls in _CONFIG_BLOCKS.items()},
+}
+_PATTERNS_SHAPE = dict[
+    str, list[{"pattern": list[str], "template": list[str], "arity": int, "freq": int}]
+]
+_COOCCUR_SHAPE = {
+    "pairs": list[tuple[str, str, int]], "pred_counts": dict[str, int], "ent_counts": dict[str, int]
+}
+_GENMODEL_SHAPE = {
+    "members": list[tuple[float, float]],
+    "classes": dict[str, {"vocab": list[str], "bigram": dict[str, dict[str, int]]}],
+}
+
+
+def _scalars_are(values: list, kind: type) -> bool:
+    """Whether every value is a ``kind`` (str, int or float; a JSON number
+    passes as a float and ``true``/``false`` as 0/1), tested in one pass in C by
+    joining or summing them."""
+    try:
+        if kind is str:
+            "".join(values)
+            return True
+        return type(sum(values, kind())) is kind  # a float makes an int sum a float
+    except TypeError:  # a value of another type
+        return False
+
+
+def _check_shape(values: list, shape, path: Path, where: str) -> None:
+    """Raise CheckpointError naming the file and ``where`` unless every one of
+    ``values`` has the JSON shape ``shape``. Each level of the shape is checked
+    in one pass over all of its values, run in C."""
+    record = isinstance(shape, dict)
+    origin = dict if record else getattr(shape, "__origin__", None)
+    if origin is None:
+        if not _scalars_are(values, shape):
+            raise learn.CheckpointError(f"{path}: {where} must be {shape.__name__}")
+        return
+    if origin is not tuple and not set(map(type, values)) <= {dict if origin is dict else list}:
+        what = "an object" if origin is dict else "a list"
+        raise learn.CheckpointError(f"{path}: {where} must be {what}")
+    entries = where if where.startswith("an entry of") else f"an entry of {where}"
+    if record:
+        for value in values:
+            if value.keys() != shape.keys():
+                raise learn.CheckpointError(
+                    f"{path}: {where} has the keys {sorted(value)}, not {sorted(shape)}"
+                )
+        for key, sub in shape.items():
+            _check_shape(list(map(dict.get, values, itertools.repeat(key))), sub, path, repr(key))
+    elif origin is dict:
+        items = itertools.chain.from_iterable(map(dict.values, values))
+        _check_shape(list(items), shape.__args__[1], path, entries)
+    elif origin is list:
+        _check_shape(list(itertools.chain.from_iterable(values)), shape.__args__[0], path, entries)
+    else:
+        # The strict zip stops at rows of unequal length or rows that are not
+        # sequences. A string or object row gives strings, which the checks
+        # below reject, as every tuple shape here holds a number.
+        try:
+            columns = list(zip(*values, strict=True))
+        except (TypeError, ValueError):
+            columns = []
+        if values and len(columns) != len(shape.__args__):
+            raise learn.CheckpointError(f"{path}: {where} must be a list of {len(shape.__args__)}")
+        for column, sub in zip(columns, shape.__args__):
+            _check_shape(column, sub, path, entries)
 
 
 def _config_from_dict(raw: dict) -> SystemConfig:
@@ -660,8 +734,8 @@ def _expected_shapes(manifest: dict, cfg: SystemConfig) -> dict[str, tuple[int, 
 
 
 def _check_manifest(manifest: object, path: Path) -> SystemConfig:
-    """The manifest's config, once its version, keys and config blocks are
-    what this code writes; raises CheckpointError otherwise."""
+    """The manifest's config, once its version and shape are what this code
+    writes; raises CheckpointError otherwise."""
     if not isinstance(manifest, dict):
         raise learn.CheckpointError(f"{path}: not a JSON object")
     version = manifest.get("format_version")
@@ -669,22 +743,11 @@ def _check_manifest(manifest: object, path: Path) -> SystemConfig:
         raise learn.UnsupportedCheckpoint(
             f"{path}: format_version {version!r}, this version reads {learn.CHECKPOINT_VERSION}"
         )
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise learn.CheckpointError(f"{path}: lacks {missing}")
+    _check_shape([manifest], _MANIFEST_SHAPE, path, "the top level")
     members = manifest["matcher_members"]
-    if not isinstance(members, int) or members < 1:
-        raise learn.CheckpointError(
-            f"{path}: matcher_members must be a positive integer, got {members!r}"
-        )
-    raw = manifest["config"]
-    if not isinstance(raw, dict) or set(raw) != set(_CONFIG_BLOCKS):
-        raise learn.CheckpointError(f"{path}: config must hold the blocks {sorted(_CONFIG_BLOCKS)}")
-    for name, cls in _CONFIG_BLOCKS.items():
-        fields = {f.name for f in dataclasses.fields(cls)}
-        if not isinstance(raw[name], dict) or set(raw[name]) != fields:
-            raise learn.CheckpointError(f"{path}: config block {name!r} must hold {sorted(fields)}")
-    return _config_from_dict(raw)
+    if members < 1:
+        raise learn.CheckpointError(f"{path}: matcher_members must be positive, got {members}")
+    return _config_from_dict(manifest["config"])
 
 
 def _check_arrays(
@@ -705,8 +768,9 @@ def _check_arrays(
 
 
 def load_system(model_dir: str | Path) -> ParserSystem:
-    """Rebuild a saved system. Raises CheckpointError, before building
-    anything, when the directory's files disagree with each other."""
+    """Rebuild a saved system. Raises CheckpointError when the directory's
+    files disagree with each other or a JSON file is not of its shape; the
+    manifest and arrays are checked before anything is built."""
     model_dir = Path(model_dir)
     manifest = learn.load_json(model_dir / MANIFEST_NAME)
     cfg = _check_manifest(manifest, model_dir / MANIFEST_NAME)
@@ -738,6 +802,7 @@ def load_system(model_dir: str | Path) -> ParserSystem:
         )
 
     patterns_raw = learn.load_json(model_dir / PATTERNS_NAME)
+    _check_shape([patterns_raw], _PATTERNS_SHAPE, model_dir / PATTERNS_NAME, "the top level")
     index = PatternIndex()
     for cls, entries in patterns_raw.items():
         index.by_class[cls] = [
@@ -750,19 +815,21 @@ def load_system(model_dir: str | Path) -> ParserSystem:
         ]
 
     co_raw = learn.load_json(model_dir / COOCCUR_NAME)
+    _check_shape([co_raw], _COOCCUR_SHAPE, model_dir / COOCCUR_NAME, "the top level")
     cooccurrence = CooccurrenceModel(
         pair_counts={(p, e): c for p, e, c in co_raw["pairs"]},
-        pred_counts=dict(co_raw["pred_counts"]),
-        ent_counts=dict(co_raw["ent_counts"]),
+        pred_counts=co_raw["pred_counts"],
+        ent_counts=co_raw["ent_counts"],
         head=LinearHead(arrays["pe.head_w"], arrays["pe.head_b"]),
     )
 
     gen_raw = learn.load_json(model_dir / GENMODEL_NAME)
+    _check_shape([gen_raw], _GENMODEL_SHAPE, model_dir / GENMODEL_NAME, "the top level")
     class_stats = {}
     for cls, payload in gen_raw["classes"].items():
         stats = genscore.ClassStats(
-            bigram={prev: dict(row) for prev, row in payload["bigram"].items()},
-            vocab={tok: None for tok in payload["vocab"]},
+            bigram=payload["bigram"],
+            vocab=dict.fromkeys(payload["vocab"]),
         )
         class_stats[cls] = stats
     gen = GenModel(

@@ -1,6 +1,7 @@
-"""Per-sample reference implementations that the vectorised library paths
-are tested against. They are the straightforward loops the library used to
-run, kept here so that a fast path can be shown equal to them."""
+"""Reference implementations the library is tested against: the
+straightforward per-sample loops behind its vectorised paths, and the
+inverses and rankings that only tests need (substituting bindings back into
+a sketch or template, ranking every same-class pattern)."""
 
 from __future__ import annotations
 
@@ -9,9 +10,43 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchparse import genscore, learn, matchers, pipeline
-from sketchparse.matchers import CooccurrenceModel, MatcherEnsemble, MatcherModel
+from sketchparse import genscore, learn, lf, matchers, pipeline
+from sketchparse.data import Corpus
+from sketchparse.matchers import CooccurrenceModel, MatcherEnsemble, MatcherModel, PatternIndex
 from sketchparse.pipeline import FusionWeights
+
+
+class ArityMismatch(lf.LfError):
+    pass
+
+
+def substitute_sketch(sketch: lf.Sketch) -> lf.LogicalForm:
+    """Invert extract_sketch by writing the bound tokens back into the sketch."""
+    binding = dict(sketch.bindings)
+    return lf.LogicalForm(tuple(binding.get(tok, tok) for tok in sketch.tokens))
+
+
+def normalize_surface(surface: str) -> str:
+    """Underscore-join a possibly multi-word surface, logical-form style."""
+    return "_".join(surface.split())
+
+
+def substitute_template(template: lf.LfTemplate, fillers: Sequence[str]) -> lf.LogicalForm:
+    """Fill entityK slots with fillers[K-1]; the output is re-checked for balance."""
+    if len(fillers) != template.entity_arity:
+        raise ArityMismatch(
+            f"template arity {template.entity_arity}, got {len(fillers)} fillers"
+        )
+    out: list[str] = []
+    for tok in template.tokens:
+        k = lf.entity_slot(tok)
+        if k:
+            if k > len(fillers):
+                raise ArityMismatch(f"slot entity{k} beyond {len(fillers)} fillers")
+            out.append(normalize_surface(fillers[k - 1]))
+        else:
+            out.append(tok)
+    return lf.parse_logical_form(" ".join(out))
 
 
 def pair_loss_grads(
@@ -79,11 +114,39 @@ def tune_weights(dev_packs, step: float = 0.05) -> FusionWeights:
 def ensemble_score(
     ensemble: MatcherEnsemble, qp_tokens: Sequence[str], pool: Sequence[Sequence[str]]
 ) -> list[float]:
-    """Pair by pair: the mean over members of score_pair."""
-    return [
-        float(np.mean([matchers.score_pair(qp_tokens, p, m) for m in ensemble.members]))
-        for p in pool
-    ]
+    """Pair by pair: each member's head on [a, b, |a-b|, a*b] of the two mean
+    embeddings, the softmax's match probability, averaged over members."""
+    scores = []
+    for tokens in pool:
+        probs = []
+        for m in ensemble.members:
+            a = m.encoder.embedding[m.vocab.encode(qp_tokens)].mean(axis=0)
+            b = m.encoder.embedding[m.vocab.encode(tokens)].mean(axis=0)
+            feats = np.concatenate([a, b, np.abs(a - b), a * b])
+            probs.append(learn.softmax(m.head.weight @ feats + m.head.bias)[1])
+        scores.append(float(np.mean(probs)))
+    return scores
+
+
+def pattern_ranking_accuracy(
+    scorer: MatcherEnsemble | MatcherModel, corpus: Corpus, index: PatternIndex
+) -> float:
+    """Fraction of samples whose gold pattern outranks all same-class patterns."""
+    if not corpus.samples:
+        return 0.0
+    ensemble = scorer if isinstance(scorer, MatcherEnsemble) else MatcherEnsemble([scorer])
+    hits = 0
+    for sample in corpus:
+        qp, gold = matchers.sample_pattern_pair(sample)
+        patterns = [e.pattern.tokens for e in index.patterns(sample.sketch_class)]
+        if gold.tokens not in patterns:
+            continue
+        scored = sorted(
+            zip(ensemble.score(qp.tokens, patterns).tolist(), patterns),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        hits += scored[0][1] == gold.tokens
+    return hits / len(corpus.samples)
 
 
 def gen_scores(

@@ -22,9 +22,9 @@ from sketchparse.data import GenConfig, generate_synthetic, split
 from sketchparse.genscore import normalize_losses
 from sketchparse.learn import Vocab, logsumexp, softmax_cross_entropy
 from sketchparse.matchers import MatcherConfig, init_matcher, pair_loss_grads, select_by_rank
-from sketchparse.multitask import crf_nll, crf_nll_grad, crf_log_partition, viterbi
+from sketchparse.multitask import crf_nll_grad, viterbi
 from sketchparse.pipeline import FusionWeights, SampleOutcome, compute_metrics
-from tests.oracles import top_candidate
+from tests.oracles import substitute_sketch, substitute_template, top_candidate
 from tests.test_learn import assert_close_grads, central_difference
 
 BIG_CONFIG = GenConfig(
@@ -66,37 +66,42 @@ def test_c1_sketch_round_trip(big_corpus):
     assert len(big_corpus) == 5000
     for sample in big_corpus:
         sketch = lf.extract_sketch(sample.lf, sample.params)
-        assert lf.substitute_sketch(sketch).tokens == sample.lf.tokens
+        assert substitute_sketch(sketch).tokens == sample.lf.tokens
         order = sample.entity_order
         template = lf.derive_template(sample.lf, sample.params, order)
         fillers = [s for s, _ in sorted(order.items(), key=lambda kv: kv[1])]
-        assert lf.substitute_template(template, fillers).tokens == sample.lf.tokens
+        assert substitute_template(template, fillers).tokens == sample.lf.tokens
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 1 PASS - 5000/5000 sketch and template round trips ({elapsed:.1f}s)")
 
 
 def _brute_force(emissions: np.ndarray, trans: np.ndarray):
+    """Every one of the k^m label paths, with its score."""
     k, m = emissions.shape
     paths = np.array(list(itertools.product(range(k), repeat=m)))
     scores = emissions[paths, np.arange(m)].sum(axis=1)
     if m > 1:
         scores = scores + trans[paths[:, :-1], paths[:, 1:]].sum(axis=1)
-    return float(logsumexp(scores)), list(paths[int(np.argmax(scores))])
+    return paths, scores
 
 
 def test_c2_crf_matches_enumeration():
     started = time.perf_counter()
     rng = np.random.default_rng(21)
+    gold_rng = np.random.default_rng(22)  # apart from rng, which draws the instances
     checked = 0
     for _ in range(220):
         m = int(rng.integers(1, 7))
         emissions = rng.normal(scale=2.0, size=(4, m))
         trans = rng.normal(scale=2.0, size=(4, 4))
-        expected_log_z, expected_path = _brute_force(emissions, trans)
-        got_log_z = crf_log_partition(emissions, trans)
-        assert abs(got_log_z - expected_log_z) <= 1e-6 * max(1.0, abs(expected_log_z))
-        assert viterbi(emissions, trans) == expected_path
+        paths, scores = _brute_force(emissions, trans)
+        gold = gold_rng.integers(0, 4, size=m)
+        gold_score = scores[np.flatnonzero((paths == gold).all(axis=1))[0]]
+        expected_nll = float(logsumexp(scores)) - gold_score
+        got_nll = crf_nll_grad(emissions, trans, gold.tolist())[0]
+        assert abs(got_nll - expected_nll) <= 1e-6 * max(1.0, abs(expected_nll))
+        assert viterbi(emissions, trans) == paths[int(np.argmax(scores))].tolist()
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked >= 200
@@ -114,7 +119,7 @@ def test_c3_gradient_checks():
         gold = [int(rng.integers(0, 4)) for _ in range(m)]
         _, d_e, d_t = crf_nll_grad(emissions, trans, gold)
         numeric = central_difference(
-            lambda: crf_nll(emissions, trans, gold),
+            lambda: crf_nll_grad(emissions, trans, gold)[0],
             {"emissions": emissions, "trans": trans},
         )
         assert_close_grads({"emissions": d_e, "trans": d_t}, numeric)

@@ -244,6 +244,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and array_name in err[0]
 
+    def test_mistyped_json_is_two(self, workspace, json_edit, tmp_path, capsys):
+        _, data_dir, model_dir = workspace
+        edit, file_name, key = json_edit
+        edited = tmp_path / "model_edited"
+        shutil.copytree(model_dir, edited)
+        edit(edited)
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(edited),
+                "--input", str(data_dir / "test.jsonl"),
+                "--out", str(tmp_path / "out.jsonl"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert file_name in err[0] and key in err[0]
+
     def test_template_slot_beyond_arity_is_two(self, workspace, tmp_path, capsys):
         _, data_dir, model_dir = workspace
         edited = tmp_path / "model_slot"

@@ -17,6 +17,7 @@ from sketchparse.data import (
     save_jsonl,
     split,
 )
+from tests import oracles
 
 BIRTH_RECORD = {
     "question": "what is birth date for chris pine",
@@ -143,7 +144,7 @@ class TestGenerator:
     def test_all_samples_round_trip(self, small_corpus):
         for sample in small_corpus:
             sketch = lf.extract_sketch(sample.lf, sample.params)
-            assert lf.substitute_sketch(sketch).tokens == sample.lf.tokens
+            assert oracles.substitute_sketch(sketch).tokens == sample.lf.tokens
 
     def test_single_relation_sketch_shape(self):
         cfg = GenConfig(classes=("single-relation",), samples_per_class=5, seed=0)

@@ -230,7 +230,6 @@ class TestGenModel:
         assert scores.count(0.0) == 1
 
     def test_gold_beats_same_class_impostor(self, small_splits):
-        from sketchparse import lf as lfmod
         from sketchparse.matchers import build_pattern_index, sample_pattern_pair
 
         train, dev, _ = small_splits
@@ -249,8 +248,8 @@ class TestGenModel:
                 s for s, _ in sorted(sample.entity_order.items(), key=lambda kv: kv[1])
             ]
             try:
-                impostor_lf = lfmod.substitute_template(entry.template, fillers)
-            except lfmod.ArityMismatch:
+                impostor_lf = oracles.substitute_template(entry.template, fillers)
+            except oracles.ArityMismatch:
                 continue
             stats = model.stats_for(sample.sketch_class)
             member = model.members[1]

@@ -9,8 +9,8 @@ from sketchparse import learn
 from sketchparse.learn import (
     AdamState,
     EncoderParams,
+    LinearHead,
     Vocab,
-    encode_pair,
     encode_sentence,
     encode_tokens,
     softmax,
@@ -18,6 +18,7 @@ from sketchparse.learn import (
     step,
 )
 from sketchparse.lf import EmptyInput
+from sketchparse.matchers import pair_logits
 
 
 def central_difference(fn, arrays: dict[str, np.ndarray], eps: float = 1e-4):
@@ -121,24 +122,30 @@ class TestEncoders:
     def test_pair_features(self):
         rng = np.random.default_rng(5)
         enc = EncoderParams(embedding=rng.normal(size=(9, 4)))
+        head = LinearHead(rng.normal(size=(2, 16)), rng.normal(size=2))
         a, b = np.array([2, 3]), np.array([5])
-        feats = encode_pair(a, b, enc)
+        feats, logits = pair_logits(encode_sentence(a, enc), encode_sentence(b, enc)[None], head)
         ma = enc.embedding[a].mean(axis=0)
         mb = enc.embedding[b].mean(axis=0)
-        assert np.allclose(feats, np.concatenate([ma, mb, np.abs(ma - mb), ma * mb]))
+        expected = np.concatenate([ma, mb, np.abs(ma - mb), ma * mb])
+        assert np.allclose(feats, expected[None])
+        assert np.allclose(logits, (head.weight @ expected + head.bias)[None])
 
     def test_pair_same_input_zeroes_difference_block(self):
         rng = np.random.default_rng(6)
         enc = EncoderParams(embedding=rng.normal(size=(9, 4)))
-        feats = encode_pair(np.array([2, 3]), np.array([2, 3]), enc)
-        assert np.allclose(feats[8:12], 0.0)
+        mean = encode_sentence(np.array([2, 3]), enc)
+        feats, _ = pair_logits(mean, mean[None], LinearHead.zeros(2, 16))
+        assert np.allclose(feats[0, 8:12], 0.0)
 
     def test_pair_swap_permutes_mean_blocks(self):
         rng = np.random.default_rng(7)
         enc = EncoderParams(embedding=rng.normal(size=(9, 4)))
-        a, b = np.array([1, 2]), np.array([6, 7])
-        fab = encode_pair(a, b, enc)
-        fba = encode_pair(b, a, enc)
+        head = LinearHead.zeros(2, 16)
+        ma = encode_sentence(np.array([1, 2]), enc)
+        mb = encode_sentence(np.array([6, 7]), enc)
+        fab = pair_logits(ma, mb[None], head)[0][0]
+        fba = pair_logits(mb, ma[None], head)[0][0]
         assert np.allclose(fab[:4], fba[4:8])
         assert np.allclose(fab[4:8], fba[:4])
         assert np.allclose(fab[8:], fba[8:])

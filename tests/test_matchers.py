@@ -20,7 +20,6 @@ from sketchparse.matchers import (
     extract_pred_entity_pairs,
     init_matcher,
     pair_loss_grads,
-    pattern_ranking_accuracy,
     ranking_resample,
     sample_negatives,
     sample_pattern_pair,
@@ -336,7 +335,7 @@ class TestMatcherTraining:
 
     def test_gold_outranks_in_class_negatives(self, trained_matcher):
         ensemble, index, _, dev = trained_matcher
-        assert pattern_ranking_accuracy(ensemble, dev, index) >= 0.90
+        assert oracles.pattern_ranking_accuracy(ensemble, dev, index) >= 0.90
 
     def test_ensemble_of_identical_members_matches_single(self, trained_matcher):
         ensemble, index, _, dev = trained_matcher
@@ -357,8 +356,8 @@ class TestMatcherTraining:
 
     def test_ensemble_not_worse_than_base(self, trained_matcher):
         ensemble, index, _, dev = trained_matcher
-        base_acc = pattern_ranking_accuracy(ensemble.members[0], dev, index)
-        ens_acc = pattern_ranking_accuracy(ensemble, dev, index)
+        base_acc = oracles.pattern_ranking_accuracy(ensemble.members[0], dev, index)
+        ens_acc = oracles.pattern_ranking_accuracy(ensemble, dev, index)
         assert ens_acc >= base_acc - 0.005
 
     def test_probabilities_in_open_interval(self, trained_matcher):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sketchparse import multitask
-from sketchparse.learn import Vocab, logsumexp
+from sketchparse.learn import Vocab, encode_tokens, logsumexp, softmax_cross_entropy
 from sketchparse.multitask import (
     L_B,
     L_I,
@@ -16,15 +16,12 @@ from sketchparse.multitask import (
     L_P,
     MultiTaskConfig,
     classify_sketch,
-    crf_log_partition,
-    crf_nll,
     crf_nll_grad,
     crf_score,
     dev_metrics,
     extract_entities,
     gold_labels,
     init_model,
-    joint_loss,
     sample_grads,
     train_multitask,
     viterbi,
@@ -50,25 +47,36 @@ def random_instance(rng, k=4, m=6, scale=2.0):
     return rng.normal(scale=scale, size=(k, m)), rng.normal(scale=scale, size=(k, k))
 
 
+def log_partition(emissions: np.ndarray, trans: np.ndarray) -> float:
+    """log Z as training computes it: crf_nll_grad's loss for a path plus
+    that path's score."""
+    path = [0] * emissions.shape[1]
+    return crf_nll_grad(emissions, trans, path)[0] + crf_score(emissions, trans, path)
+
+
+def crf_nll(emissions: np.ndarray, trans: np.ndarray, labels) -> float:
+    return crf_nll_grad(emissions, trans, labels)[0]
+
+
 class TestCrfForward:
     def test_single_position(self):
         rng = np.random.default_rng(0)
         emissions = rng.normal(size=(4, 1))
-        assert crf_log_partition(emissions, np.zeros((4, 4))) == pytest.approx(
+        assert log_partition(emissions, np.zeros((4, 4))) == pytest.approx(
             float(logsumexp(emissions[:, 0]))
         )
 
     def test_all_zero_scores(self):
         emissions = np.zeros((4, 3))
         trans = np.zeros((4, 4))
-        assert crf_log_partition(emissions, trans) == pytest.approx(3 * np.log(4))
+        assert log_partition(emissions, trans) == pytest.approx(3 * np.log(4))
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             emissions, trans = random_instance(rng, m=int(rng.integers(1, 7)))
             expected, _, _ = brute_force(emissions, trans)
-            got = crf_log_partition(emissions, trans)
+            got = log_partition(emissions, trans)
             assert abs(got - expected) <= 1e-6 * max(1.0, abs(expected))
 
     def test_path_probabilities_sum_to_one(self):
@@ -191,7 +199,13 @@ class TestModelHeads:
     def test_joint_loss_is_weighted_sum(self):
         model = tiny_model()
         ids = model.vocab.encode(["what", "is", "x"])
-        joint, ce, nll = joint_loss(model, ids, 1, [L_O, L_O, L_B])
+        labels = [L_O, L_O, L_B]
+        grads = {k: np.zeros_like(v) for k, v in model.params().items()}
+        joint = sample_grads(model, ids, 1, labels, grads)
+        sent = model.encoder.embedding[ids].mean(axis=0)
+        ce, _ = softmax_cross_entropy(model.cls.weight @ sent + model.cls.bias, 1)
+        emissions = model.emit.weight @ encode_tokens(ids, model.encoder) + model.emit.bias[:, None]
+        nll = crf_nll(emissions, model.trans, labels)
         assert joint == pytest.approx(1.0 * ce + 2.0 * nll, abs=1e-9)
 
     def test_joint_gradients_match_finite_differences(self):
@@ -207,7 +221,10 @@ class TestModelHeads:
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         sample_grads(model, ids, 1, gold, grads)
         numeric = central_difference(
-            lambda: joint_loss(model, ids, 1, gold)[0], params
+            lambda: sample_grads(
+                model, ids, 1, gold, {k: np.zeros_like(v) for k, v in params.items()}
+            ),
+            params,
         )
         assert_close_grads(grads, numeric)
 

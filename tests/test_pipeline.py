@@ -189,7 +189,7 @@ class TestGenerateCandidates:
                 tokens = list(entry.template.tokens)
                 for pos, k in entry.entity_positions:
                     tokens[pos] = fillers[k]
-                assert tuple(tokens) == lf.substitute_template(entry.template, fillers).tokens
+                assert tuple(tokens) == oracles.substitute_template(entry.template, fillers).tokens
 
     def test_duplicate_candidates_collapse(self):
         index = single_relation_index()
@@ -665,6 +665,15 @@ class TestPersistence:
         edit(model_dir)
         with pytest.raises(learn.CheckpointError, match=array_name):
             load_system(model_dir)
+
+    def test_mistyped_json_rejected(self, trained_system, json_edit, tmp_path):
+        edit, file_name, key = json_edit
+        model_dir = tmp_path / "model"
+        save_system(trained_system, model_dir)
+        edit(model_dir)
+        with pytest.raises(learn.CheckpointError) as caught:
+            load_system(model_dir)
+        assert file_name in str(caught.value) and key in str(caught.value)
 
     def test_save_load_save_byte_identical(self, trained_system, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
