@@ -275,16 +275,54 @@ def load_mspars_text(path: str | Path, split: str = "train") -> Corpus:
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
-DEFAULT_CLASSES = (
-    "single-relation",
-    "aggregation",
-    "yesno",
-    "multi-turn-entity",
-    "multi-turn-answer",
-    "cvt",
-    "superlative",
-    "comparative",
-)
+# One row per class: (question template, logical-form template). Slot words
+# are filled per sample; every other word is copied as it stands.
+#   R1-R3  a relation: its phrase in the question, its predicate in the form
+#   E1, E2 distinct entity names
+#   T      a type word
+#   V      a value word
+# A class's relation and entity counts, and whether it draws a type and a
+# value, are read off its row, so adding a class is adding a row.
+_CLASS_TEMPLATES: dict[str, tuple[str, str]] = {
+    "single-relation": (
+        "what is R1 for E1",
+        "( lambda ?x ( R1 E1 ?x ) )",
+    ),
+    "aggregation": (
+        "how many R1 does E1 have",
+        "count ( lambda ?x ( R1 E1 ?x ) )",
+    ),
+    "yesno": (
+        "is E1 the R1 of E2",
+        "( R1 E1 E2 )",
+    ),
+    "multi-turn-entity": (
+        "what is R1 for E1 ? ||| and what is R2 for it ?",
+        "( lambda ?x ( R1 E1 ?x ) ) ||| ( lambda ?x ( R2 E1 ?x ) )",
+    ),
+    "multi-turn-answer": (
+        "what is R1 for E1 ? ||| what is R2 of that answer ?",
+        "( lambda ?x ( R1 E1 ?x ) ) ||| "
+        "( lambda ?x exist ?y ( and ( R1 E1 ?y ) ( R2 ?y ?x ) ) )",
+    ),
+    "cvt": (
+        "what is R3 for the R1 of E1 whose R2 is E2",
+        "( lambda ?x exist ?y ( and ( R1 E1 ?y ) ( R2 ?y E2 ) ( R3 ?y ?x ) ) )",
+    ),
+    "superlative": (
+        "list the top V T by R1",
+        "( argmax ?x V ( and ( isa ?x T ) ( R1 ?x ?y ) ) )",
+    ),
+    "comparative": (
+        "which T has R1 more than V",
+        "( lambda ?x ( and ( isa ?x T ) ( argmore ( R1 ?x ) V ) ) )",
+    ),
+}
+
+DEFAULT_CLASSES = tuple(_CLASS_TEMPLATES)
+
+_SLOTS = ("R1", "R2", "R3", "E1", "E2", "T", "V")
+_PARAM_KINDS = {"E": "entity", "T": "type", "V": "value"}
 
 _FIRST_NAMES = (
     "adam alice amara anna bella boris carla carlos chen chris clara daniel "
@@ -347,14 +385,21 @@ _RELATIONS: tuple[tuple[str, str, str, str], ...] = (
     ("jersey color", "sports", "team", "jersey_color"),
 )
 
-_TYPE_WORDS = ("movie", "book", "country", "team", "company", "element", "dish", "series")
-_VALUE_WORDS = ("2", "3", "4", "5", "6", "7", "8", "9", "10", "12")
+# The words a T or a V slot draws from; T is drawn before V, an order the
+# corpus bytes depend on.
+_WORDS = {
+    "T": ("movie", "book", "country", "team", "company", "element", "dish", "series"),
+    "V": ("2", "3", "4", "5", "6", "7", "8", "9", "10", "12"),
+}
+
+# A bound slot: its words in the question and its token in the form.
+_Binding = tuple[tuple[str, ...], str]
 
 
-@dataclass(frozen=True)
-class Relation:
-    phrase: tuple[str, ...]
-    predicate: str
+def _slots(cls: str, letter: str) -> list[str]:
+    """The slots of ``cls``'s row that begin with ``letter``, in slot order."""
+    words = set(" ".join(_CLASS_TEMPLATES[cls]).split())
+    return [slot for slot in _SLOTS if slot[0] == letter and slot in words]
 
 
 @dataclass(frozen=True)
@@ -378,183 +423,58 @@ class GenConfig:
             raise ValueError(f"predicate_vocab capped at {len(_RELATIONS)}")
         if self.entity_vocab > len(_FIRST_NAMES) * len(_LAST_NAMES):
             raise ValueError("entity_vocab larger than the name pool")
+        needed = max(len(_slots(cls, "E")) for cls in self.classes)
+        if self.entity_vocab < needed:
+            raise ValueError(
+                f"entity_vocab must be >= {needed}: a chosen class names {needed} distinct entities"
+            )
 
 
-def _build_entities(rng: random.Random, count: int) -> list[tuple[str, ...]]:
-    combos = [(f, l) for f in _FIRST_NAMES for l in _LAST_NAMES]
-    return [combos[i] for i in sorted(rng.sample(range(len(combos)), count))]
-
-
-class _Q:
-    """Accumulates question tokens and parameter annotations."""
-
-    def __init__(self) -> None:
-        self.tokens: list[str] = []
-        self.params: list[ParamAnnotation] = []
-
-    def words(self, *words: str) -> "_Q":
-        self.tokens.extend(words)
-        return self
-
-    def param(self, words: Sequence[str], kind: str) -> "_Q":
-        start = len(self.tokens)
-        self.tokens.extend(words)
-        surface = "_".join(words)
-        self.params.append(
-            ParamAnnotation(surface=surface, kind=kind, span=(start, len(self.tokens) - 1))
-        )
-        return self
-
-
-def _single_relation(rel: Relation, ents, rng) -> tuple[_Q, list[str]]:
-    e = rng.choice(ents)
-    q = _Q().words("what", "is", *rel.phrase, "for").param(e, "entity")
-    form = ["(", "lambda", "?x", "(", rel.predicate, "_".join(e), "?x", ")", ")"]
-    return q, form
-
-
-def _aggregation(rel: Relation, ents, rng) -> tuple[_Q, list[str]]:
-    e = rng.choice(ents)
-    q = _Q().words("how", "many", *rel.phrase, "does").param(e, "entity").words("have")
-    form = [
-        "count", "(", "lambda", "?x", "(", rel.predicate, "_".join(e), "?x", ")", ")",
-    ]
-    return q, form
-
-
-def _yesno(rels: Sequence[Relation], ents, rng) -> tuple[_Q, list[str]]:
-    rel = rels[0]
-    e1 = rng.choice(ents)
-    e2 = rng.choice([e for e in ents if e != e1])
-    q = _Q().words("is").param(e1, "entity").words("the", *rel.phrase, "of").param(e2, "entity")
-    form = ["(", rel.predicate, "_".join(e1), "_".join(e2), ")"]
-    return q, form
-
-
-def _multi_turn_entity(rels: Sequence[Relation], ents, rng) -> tuple[_Q, list[str]]:
-    r1, r2 = rels
-    e = rng.choice(ents)
-    q = (
-        _Q()
-        .words("what", "is", *r1.phrase, "for")
-        .param(e, "entity")
-        .words("?", "|||", "and", "what", "is", *r2.phrase, "for", "it", "?")
+def _fill(cls: str, bound: dict[str, _Binding]) -> Sample:
+    """The validated sample that ``cls``'s row gives with its slots bound."""
+    question, form = _CLASS_TEMPLATES[cls]
+    tokens: list[str] = []
+    params: list[ParamAnnotation] = []
+    for word in question.split():
+        words, token = bound.get(word, ((word,), word))
+        if word in bound and word[0] in _PARAM_KINDS:
+            span = (len(tokens), len(tokens) + len(words) - 1)
+            params.append(ParamAnnotation(surface=token, kind=_PARAM_KINDS[word[0]], span=span))
+        tokens.extend(words)
+    return make_sample(
+        question=" ".join(tokens),
+        logical_form=" ".join(bound[w][1] if w in bound else w for w in form.split()),
+        params=params,
+        question_type=cls,
     )
-    s = "_".join(e)
-    form = [
-        "(", "lambda", "?x", "(", r1.predicate, s, "?x", ")", ")",
-        "|||",
-        "(", "lambda", "?x", "(", r2.predicate, s, "?x", ")", ")",
-    ]
-    return q, form
-
-
-def _multi_turn_answer(rels: Sequence[Relation], ents, rng) -> tuple[_Q, list[str]]:
-    r1, r2 = rels
-    e = rng.choice(ents)
-    q = (
-        _Q()
-        .words("what", "is", *r1.phrase, "for")
-        .param(e, "entity")
-        .words("?", "|||", "what", "is", *r2.phrase, "of", "that", "answer", "?")
-    )
-    s = "_".join(e)
-    form = [
-        "(", "lambda", "?x", "(", r1.predicate, s, "?x", ")", ")",
-        "|||",
-        "(", "lambda", "?x", "exist", "?y",
-        "(", "and",
-        "(", r1.predicate, s, "?y", ")",
-        "(", r2.predicate, "?y", "?x", ")",
-        ")", ")",
-    ]
-    return q, form
-
-
-def _cvt(rels: Sequence[Relation], ents, rng) -> tuple[_Q, list[str]]:
-    r1, r2, r3 = rels
-    e1 = rng.choice(ents)
-    e2 = rng.choice([e for e in ents if e != e1])
-    q = (
-        _Q()
-        .words("what", "is", *r3.phrase, "for", "the", *r1.phrase, "of")
-        .param(e1, "entity")
-        .words("whose", *r2.phrase, "is")
-        .param(e2, "entity")
-    )
-    form = [
-        "(", "lambda", "?x", "exist", "?y",
-        "(", "and",
-        "(", r1.predicate, "_".join(e1), "?y", ")",
-        "(", r2.predicate, "?y", "_".join(e2), ")",
-        "(", r3.predicate, "?y", "?x", ")",
-        ")", ")",
-    ]
-    return q, form
-
-
-def _superlative(rel: Relation, type_word: str, value_word: str) -> tuple[_Q, list[str]]:
-    q = (
-        _Q()
-        .words("list", "the", "top")
-        .param([value_word], "value")
-        .param([type_word], "type")
-        .words("by", *rel.phrase)
-    )
-    form = [
-        "(", "argmax", "?x", value_word,
-        "(", "and",
-        "(", "isa", "?x", type_word, ")",
-        "(", rel.predicate, "?x", "?y", ")",
-        ")", ")",
-    ]
-    return q, form
-
-
-def _comparative(rel: Relation, type_word: str, value_word: str) -> tuple[_Q, list[str]]:
-    q = (
-        _Q()
-        .words("which")
-        .param([type_word], "type")
-        .words("has", *rel.phrase, "more", "than")
-        .param([value_word], "value")
-    )
-    form = [
-        "(", "lambda", "?x",
-        "(", "and",
-        "(", "isa", "?x", type_word, ")",
-        "(", "argmore", "(", rel.predicate, "?x", ")", value_word, ")",
-        ")", ")",
-    ]
-    return q, form
 
 
 def _class_inventories(
-    cfg: GenConfig, relations: list[Relation], rng: random.Random
-) -> dict[str, list[tuple]]:
-    """Fixed per-class tuples of relations (plus type/value picks).
+    cfg: GenConfig, relations: list[_Binding], rng: random.Random
+) -> dict[str, list[dict[str, _Binding]]]:
+    """Fixed per-class bindings of the relation, type and value slots.
 
-    The tuple inventory bounds the set of logical-form patterns per class, so
-    dev and test patterns are drawn from the same closed set as training.
+    The inventory bounds the set of logical-form patterns per class, so dev
+    and test patterns are drawn from the same closed set as training.
     """
     per_class = max(1, len(relations) // len(cfg.classes))
-    inventories: dict[str, list[tuple]] = {}
+    inventories: dict[str, list[dict[str, _Binding]]] = {}
     for pos, cls in enumerate(cfg.classes):
-        tuples: list[tuple] = []
+        rows = []
         for j in range(per_class):
-            # Step through the global list so multi-relation tuples stay
-            # distinct even when the per-class slice is tiny.
-            rel_at = lambda k: relations[(pos * per_class + j + k) % len(relations)]
-            rel = rel_at(0)
-            if cls in ("multi-turn-entity", "multi-turn-answer"):
-                tuples.append((rel, rel_at(1)))
-            elif cls == "cvt":
-                tuples.append((rel, rel_at(1), rel_at(2)))
-            elif cls in ("superlative", "comparative"):
-                tuples.append((rel, rng.choice(_TYPE_WORDS), rng.choice(_VALUE_WORDS)))
-            else:
-                tuples.append((rel,))
-        inventories[cls] = tuples
+            # Rk sits k-1 places further along the global list, so
+            # multi-relation rows stay distinct even when the per-class slice
+            # is tiny.
+            bound = {
+                slot: relations[(pos * per_class + j + int(slot[1]) - 1) % len(relations)]
+                for slot in _slots(cls, "R")
+            }
+            for letter, words in _WORDS.items():
+                for slot in _slots(cls, letter):
+                    word = rng.choice(words)
+                    bound[slot] = ((word,), word)
+            rows.append(bound)
+        inventories[cls] = rows
     return inventories
 
 
@@ -563,43 +483,25 @@ def generate_synthetic(cfg: GenConfig) -> Corpus:
     one logical-form pattern."""
     rng = random.Random(cfg.seed)
     relations = [
-        Relation(phrase=tuple(phrase.split()), predicate=f"mso:{dom}.{mid}.{suffix}")
+        (tuple(phrase.split()), f"mso:{dom}.{mid}.{suffix}")
         for phrase, dom, mid, suffix in _RELATIONS[: cfg.predicate_vocab]
     ]
-    entities = _build_entities(rng, cfg.entity_vocab)
+    names = [(first, last) for first in _FIRST_NAMES for last in _LAST_NAMES]
+    entities = [names[i] for i in sorted(rng.sample(range(len(names)), cfg.entity_vocab))]
     inventories = _class_inventories(cfg, relations, rng)
 
     samples: list[Sample] = []
     for cls in cfg.classes:
-        tuples = inventories[cls]
+        rows = inventories[cls]
+        entity_slots = _slots(cls, "E")
         for j in range(cfg.samples_per_class):
-            chosen = tuples[j % len(tuples)]
-            if cls == "single-relation":
-                q, form = _single_relation(chosen[0], entities, rng)
-            elif cls == "aggregation":
-                q, form = _aggregation(chosen[0], entities, rng)
-            elif cls == "yesno":
-                q, form = _yesno(chosen, entities, rng)
-            elif cls == "multi-turn-entity":
-                q, form = _multi_turn_entity(chosen, entities, rng)
-            elif cls == "multi-turn-answer":
-                q, form = _multi_turn_answer(chosen, entities, rng)
-            elif cls == "cvt":
-                q, form = _cvt(chosen, entities, rng)
-            elif cls == "superlative":
-                q, form = _superlative(*chosen)
-            elif cls == "comparative":
-                q, form = _comparative(*chosen)
-            else:  # pragma: no cover - guarded by GenConfig
-                raise ValueError(cls)
-            samples.append(
-                make_sample(
-                    question=" ".join(q.tokens),
-                    logical_form=" ".join(form),
-                    params=q.params,
-                    question_type=cls,
-                )
-            )
+            bound = dict(rows[j % len(rows)])
+            taken: list[tuple[str, ...]] = []
+            for slot in entity_slots:  # E1 first; later slots avoid earlier names
+                name = rng.choice([e for e in entities if e not in taken] if taken else entities)
+                taken.append(name)
+                bound[slot] = (name, "_".join(name))
+            samples.append(_fill(cls, bound))
     return Corpus(samples=samples, split="synthetic")
 
 

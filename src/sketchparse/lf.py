@@ -78,9 +78,6 @@ class LogicalForm:
     def text(self) -> str:
         return " ".join(self.tokens)
 
-    def turns(self) -> list[TokenSeq]:
-        return split_turns(self.tokens)
-
 
 @dataclass(frozen=True, eq=True)
 class Sketch:

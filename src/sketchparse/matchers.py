@@ -448,9 +448,6 @@ class CooccurrenceModel:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return set(self.pair_counts)
-
     def features(self, predicate: str, entity: str) -> np.ndarray:
         c = self.pair_counts.get((predicate, entity), 0)
         return np.array(

@@ -195,6 +195,16 @@ class TestExitCodes:
             assert rc == 2, line
             assert capsys.readouterr().err.startswith("data error: line 1:"), line
 
+    def test_too_few_entities_is_two(self, tmp_path, capsys):
+        for classes in ([], ["--classes", "yesno"]):
+            out = tmp_path / "d"
+            rc = cli.main(["gen-data", "--out", str(out), "--entities", "1", *classes])
+            assert rc == 2, classes
+            err = capsys.readouterr().err
+            assert err.startswith("data error: entity_vocab must be >= 2"), err
+            assert err.count("\n") == 1
+            assert not out.exists()
+
     def test_missing_file_is_two(self, workspace, tmp_path):
         _, _, model_dir = workspace
         rc = cli.main(

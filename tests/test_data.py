@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchparse import lf
 from sketchparse.data import (
+    DEFAULT_CLASSES,
     BadRatios,
     GenConfig,
     MalformedBlock,
@@ -14,9 +19,12 @@ from sketchparse.data import (
     generate_synthetic,
     load_jsonl,
     load_mspars_text,
+    read_sample,
+    sample_to_record,
     save_jsonl,
     split,
 )
+from sketchparse.matchers import sample_pattern_pair
 from tests import oracles
 
 BIRTH_RECORD = {
@@ -155,8 +163,6 @@ class TestGenerator:
         assert len(small_corpus.classes()) == 8
 
     def test_question_pattern_maps_to_one_lf_pattern(self, small_corpus):
-        from sketchparse.matchers import sample_pattern_pair
-
         mapping: dict[tuple, tuple] = {}
         for sample in small_corpus:
             qp, lfp = sample_pattern_pair(sample)
@@ -168,6 +174,91 @@ class TestGenerator:
             GenConfig(samples_per_class=0)
         with pytest.raises(ValueError):
             GenConfig(classes=("nope",))
+        for classes in (DEFAULT_CLASSES, ("yesno",), ("cvt",)):
+            with pytest.raises(ValueError, match="entity_vocab must be >= 2"):
+                GenConfig(classes=classes, entity_vocab=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=st.lists(st.sampled_from(DEFAULT_CLASSES), unique=True).map(tuple),
+        entity_vocab=st.integers(1, 300),
+        predicate_vocab=st.integers(1, 44),
+        samples_per_class=st.integers(1, 30),
+        seed=st.integers(),
+    )
+    def test_every_accepted_config_generates_a_sound_corpus(
+        self, classes, entity_vocab, predicate_vocab, samples_per_class, seed
+    ):
+        # yesno and cvt name two distinct entities; the other classes one or none.
+        rejected = not classes or (entity_vocab < 2 and bool({"yesno", "cvt"} & set(classes)))
+        try:
+            cfg = GenConfig(classes, entity_vocab, predicate_vocab, samples_per_class, seed)
+        except ValueError:
+            assert rejected
+            return
+        assert not rejected
+        corpus = generate_synthetic(cfg)
+        assert Counter(s.question_type for s in corpus) == {c: samples_per_class for c in classes}
+        mapping: dict[tuple, tuple] = {}
+        for sample in corpus:
+            assert read_sample(json.dumps(sample_to_record(sample), ensure_ascii=False)) == sample
+            qp, lfp = sample_pattern_pair(sample)
+            assert mapping.setdefault(qp.tokens, lfp.tokens) == lfp.tokens
+
+
+# The benchmark's three workload corpora (its WorkloadSpecs at their default
+# seed 11; `standard` is also the acceptance suite's BIG_CONFIG), pinned by
+# the sha256 of their save_jsonl bytes: a generator change that moves one
+# byte changes what the benchmark measures.
+BENCH_CORPORA = {
+    "standard": (
+        GenConfig(
+            classes=(
+                "single-relation",
+                "aggregation",
+                "yesno",
+                "multi-turn-entity",
+                "multi-turn-answer",
+                "cvt",
+                "superlative",
+                "comparative",
+            ),
+            entity_vocab=200,
+            predicate_vocab=40,
+            samples_per_class=625,
+            seed=11,
+        ),
+        "cc0bed38f2f41c114345e577885b95e71dc168e2989c6565acac8b2a7de09859",
+    ),
+    "wide_pool": (
+        GenConfig(
+            classes=("single-relation",),
+            entity_vocab=200,
+            predicate_vocab=44,
+            samples_per_class=2500,
+            seed=11,
+        ),
+        "06676875a00f943e3ccb56c23c9a86b95063fda7f9f64de0baa308f29356bffe",
+    ),
+    "long_question": (
+        GenConfig(
+            classes=("multi-turn-answer", "cvt"),
+            entity_vocab=200,
+            predicate_vocab=10,
+            samples_per_class=1250,
+            seed=11,
+        ),
+        "297585eed52ae2fca453d0bdf0e6d2479e362112b37e9e1df37d4426a05df2b8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CORPORA))
+def test_bench_corpus_bytes_pinned(name, tmp_path):
+    cfg, digest = BENCH_CORPORA[name]
+    path = tmp_path / "corpus.jsonl"
+    save_jsonl(generate_synthetic(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSplit:

@@ -68,10 +68,11 @@ class TestParseLogicalForm:
     def test_flat_form(self):
         form = lf.parse_logical_form("( P1 E1 E2 )")
         assert len(form.tokens) == 5
-        assert len(form.turns()) == 1
+        assert len(lf.split_turns(form.tokens)) == 1
 
     def test_two_turns(self):
-        assert len(lf.parse_logical_form("( a ) ||| ( b )").turns()) == 2
+        form = lf.parse_logical_form("( a ) ||| ( b )")
+        assert len(lf.split_turns(form.tokens)) == 2
 
     def test_unbalanced(self):
         with pytest.raises(lf.UnbalancedParens) as err:

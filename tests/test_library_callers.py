@@ -1,7 +1,8 @@
-"""The library holds only code the system runs: every top-level function and
-method in ``src/sketchparse`` is referenced, by name or attribute, somewhere
-in the package outside its own body. References that exist only to serve
-tests belong in ``tests/oracles.py``."""
+"""The library holds only code the system runs: every top-level function in
+``src/sketchparse`` is referenced, by name or attribute, and every method by
+attribute, somewhere in the package outside its own body. A bare name does
+not reach a method, so a local variable that shares its name hides nothing.
+References that exist only to serve tests belong in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -20,26 +21,28 @@ ALLOWED = {
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often each name is read as a variable or an attribute under node."""
+def _names(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is read as an attribute under node, and also as
+    a variable unless ``attributes_only``."""
     counts: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            counts[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             counts[sub.attr] += 1
+        elif isinstance(sub, ast.Name) and not attributes_only:
+            counts[sub.id] += 1
     return counts
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, def node) for each top-level function and method."""
+    """(qualified name, def node, is a method) for each top-level function
+    and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, True
 
 
 def unreferenced() -> set[str]:
@@ -48,14 +51,17 @@ def unreferenced() -> set[str]:
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"  # its re-exports are not callers
     }
-    total = sum((_names(tree) for tree in trees.values()), Counter())
+    totals = {
+        flag: sum((_names(tree, flag) for tree in trees.values()), Counter())
+        for flag in (False, True)
+    }
     found = set()
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree, module):
+        for qualname, node, is_method in _definitions(tree, module):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the language
-            if total[name] - _names(node)[name] == 0:
+            if totals[is_method][name] - _names(node, is_method)[name] == 0:
                 found.add(qualname)
     return found
 
