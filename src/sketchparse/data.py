@@ -416,6 +416,9 @@ class GenConfig:
         unknown = [c for c in self.classes if c not in DEFAULT_CLASSES]
         if unknown:
             raise ValueError(f"unknown classes {unknown}; choose from {DEFAULT_CLASSES}")
+        repeated = sorted({c for c in self.classes if self.classes.count(c) > 1})
+        if repeated:
+            raise ValueError(f"class {repeated[0]!r} given more than once")
         for name in ("entity_vocab", "predicate_vocab", "samples_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -134,12 +134,16 @@ def logsumexp(z: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(np.log(np.exp(z - m).sum(axis=axis, keepdims=True)) + m, axis=axis)
 
 
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss and gradient w.r.t. logits for one labeled instance."""
-    logp = log_softmax(logits)
+def softmax_cross_entropy(
+    logits: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss and gradient w.r.t. the logits for a batch of labeled
+    instances: logits (n, k), targets (n,) class indices."""
+    rows = np.arange(len(logits))
     grad = softmax(logits)
-    grad[target] -= 1.0
-    return -float(logp[target]), grad
+    loss = -log_softmax(logits)[rows, targets]
+    grad[rows, targets] -= 1.0
+    return loss, grad
 
 
 # Adam's moment decay rates and denominator floor.

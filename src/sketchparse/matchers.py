@@ -538,26 +538,29 @@ def build_cooccurrence(
         chosen = unseen if len(unseen) <= 5 else rng.sample(unseen, 5)
         for pred in chosen:
             examples.append((model.features(pred, ent), 0))
+    feats, labels = zip(*examples)
+    fit_pe_head(model.head, np.array(feats), np.array(labels), cfg.seed)
+    return model
 
-    params = {"head_w": model.head.weight, "head_b": model.head.bias}
+
+def fit_pe_head(head: LinearHead, feats: np.ndarray, labels: np.ndarray, seed: int) -> None:
+    """Train ``head`` in place on (n, 5) count features and (n,) 0/1 labels:
+    three Adam epochs of 32-example minibatches, one batched softmax
+    gradient per minibatch."""
+    params = {"head_w": head.weight, "head_b": head.bias}
     opt = AdamState.for_params(params, lr=0.1)
-    shuffler = np.random.default_rng(cfg.seed + 1)
+    shuffler = np.random.default_rng(seed + 1)
     for _ in range(3):  # epochs
-        order = shuffler.permutation(len(examples))
+        order = shuffler.permutation(len(labels))
         for start in range(0, len(order), 32):
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
             batch = order[start : start + 32]
-            for i in batch:
-                feats, label = examples[i]
-                _, d_logits = learn.softmax_cross_entropy(
-                    model.head.weight @ feats + model.head.bias, label
-                )
-                grads["head_w"] += np.outer(d_logits, feats)
-                grads["head_b"] += d_logits
+            _, d_logits = learn.softmax_cross_entropy(
+                feats[batch] @ head.weight.T + head.bias, labels[batch]
+            )
+            grads = {"head_w": d_logits.T @ feats[batch], "head_b": d_logits.sum(axis=0)}
             for g in grads.values():
                 g /= len(batch)
             learn.step(params, grads, opt)
-    return model
 
 
 def score_candidate_pe(

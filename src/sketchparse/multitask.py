@@ -16,7 +16,8 @@ import numpy as np
 
 from . import learn
 from .data import Corpus, EmptyCorpus, Sample
-from .learn import AdamState, EncoderParams, LinearHead, Vocab, logsumexp
+from .learn import PAD, AdamState, EncoderParams, LinearHead, Vocab, logsumexp
+from .lf import EmptyInput
 
 logger = logging.getLogger(__name__)
 
@@ -98,49 +99,60 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def crf_score(emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]) -> float:
-    """Path score: sum of emissions plus transitions along the label sequence."""
-    labels = list(labels)
-    k, m = emissions.shape
-    if len(labels) != m:
-        raise BadLabel(f"{len(labels)} labels for {m} positions")
-    if any(y < 0 or y >= k for y in labels):
-        raise BadLabel(f"label outside 0..{k - 1}")
-    total = float(emissions[labels[0], 0])
-    for t in range(1, m):
-        total += float(trans[labels[t - 1], labels[t]] + emissions[labels[t], t])
-    return total
-
-
 def crf_nll_grad(
-    emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """NLL with gradients w.r.t. emissions and transitions (marginals minus gold)."""
-    labels = list(labels)
-    k, m = emissions.shape
-    alpha = np.empty((m, k))
-    alpha[0] = emissions[:, 0]
-    for t in range(1, m):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emissions[:, t]
-    beta = np.empty((m, k))
-    beta[m - 1] = 0.0
-    for t in range(m - 2, -1, -1):
-        beta[t] = logsumexp(trans + emissions[:, t + 1][None, :] + beta[t + 1][None, :], axis=1)
-    log_z = logsumexp(alpha[m - 1])
-    loss = float(log_z) - crf_score(emissions, trans, labels)
+    emissions: np.ndarray, trans: np.ndarray, labels: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched, masked CRF: each sequence's NLL, with gradients w.r.t. the
+    emissions (node marginals minus gold) and the transitions (pair marginals
+    minus gold, summed over the batch).
 
-    d_emissions = np.exp(alpha + beta - log_z).T  # node marginals, (k, m)
-    d_trans = np.zeros_like(trans)
+    emissions is (B, T, K), labels (B, T) and lengths (B,), each in 1..T.
+    Past a sequence's length alpha is carried forward and beta is 0, and its
+    marginals are masked, so padding changes no row's loss or gradient.
+    """
+    b, m, k = emissions.shape
+    labels = np.asarray(labels)
+    lengths = np.asarray(lengths)
+    if labels.shape != (b, m) or lengths.shape != (b,):
+        raise BadLabel(f"labels {labels.shape} and lengths {lengths.shape} for {b} x {m} positions")
+    if b and (lengths.min() < 1 or lengths.max() > m):
+        raise BadLabel(f"lengths outside 1..{m}")
+    mask = np.arange(m)[None, :] < lengths[:, None]  # (B, T)
+    if np.any(mask & ((labels < 0) | (labels >= k))):
+        raise BadLabel(f"label outside 0..{k - 1}")
+    gold = np.where(mask, labels, 0)
+
+    alpha = np.empty((b, m, k))
+    alpha[:, 0] = emissions[:, 0]
     for t in range(1, m):
-        log_pair = (
-            alpha[t - 1][:, None] + trans + emissions[:, t][None, :] + beta[t][None, :] - log_z
+        step = logsumexp(alpha[:, t - 1, :, None] + trans, axis=1) + emissions[:, t]
+        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
+    beta = np.zeros((b, m, k))
+    for t in range(m - 2, -1, -1):
+        step = logsumexp(
+            trans + emissions[:, t + 1, None, :] + beta[:, t + 1, None, :], axis=2
         )
-        d_trans += np.exp(log_pair)
-    d_emissions[labels[0], 0] -= 1.0
-    for t in range(1, m):
-        d_emissions[labels[t], t] -= 1.0
-        d_trans[labels[t - 1], labels[t]] -= 1.0
-    return loss, d_emissions, d_trans
+        beta[:, t] = np.where(mask[:, t + 1, None], step, 0.0)
+    log_z = logsumexp(alpha[:, m - 1], axis=1)  # (B,)
+
+    rows = np.arange(b)[:, None]
+    cols = np.arange(m)[None, :]
+    gold_pairs = gold[:, :-1] * k + gold[:, 1:]  # flat (from, to) index
+    score = np.where(mask, emissions[rows, cols, gold], 0.0).sum(axis=1)
+    score += np.where(mask[:, 1:], trans.ravel()[gold_pairs], 0.0).sum(axis=1)
+
+    d_emissions = np.where(mask[..., None], np.exp(alpha + beta - log_z[:, None, None]), 0.0)
+    d_emissions[rows, cols, gold] -= mask
+    log_pair = (
+        alpha[:, :-1, :, None]
+        + trans
+        + emissions[:, 1:, None, :]
+        + beta[:, 1:, None, :]
+        - log_z[:, None, None, None]
+    )
+    d_trans = np.exp(np.where(mask[:, 1:, None, None], log_pair, -np.inf)).sum(axis=(0, 1))
+    d_trans -= np.bincount(gold_pairs[mask[:, 1:]], minlength=k * k).reshape(k, k)
+    return log_z - score, d_emissions, d_trans
 
 
 def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
@@ -232,40 +244,67 @@ def predict_spans(
 def sample_grads(
     model: MultiTaskModel,
     ids: np.ndarray,
-    class_idx: int,
-    labels: Sequence[int],
+    lengths: np.ndarray,
+    class_ids: np.ndarray,
+    labels: np.ndarray,
     grads: dict[str, np.ndarray],
-) -> float:
-    """Accumulate joint-loss gradients for one sample into ``grads``."""
+) -> np.ndarray:
+    """Accumulate the joint-loss gradients of a padded batch, summed over its
+    rows, into ``grads``; returns each row's joint loss.
+
+    ids and labels are (B, T), PAD-padded past each row's length (B,), and
+    class_ids is (B,).
+    """
     w_s, w_e = model.config.loss_weights
     emb = model.encoder.embedding
-    window = model.encoder.window
+    w = model.encoder.window
     hidden = model.encoder.hidden
-    m = len(ids)
+    span = 2 * w + 1
+    k = model.emit.weight.shape[0]
+    b, m = ids.shape
+    if b and lengths.min() < 1:
+        raise EmptyInput("cannot encode an empty token sequence")
+    mask = np.arange(m)[None, :] < lengths[:, None]
+    # Each row with w PADs on both sides: offset j of position t's window is
+    # padded position t + j, so one (B, T + 2w, h) gather encodes the batch.
+    padded = np.pad(ids, ((0, 0), (w, w)), constant_values=PAD)
+    vecs = emb[padded]
 
-    # Sketch head
-    sent = learn.encode_sentence(ids, model.encoder)
+    # Sketch head over the mean of each row's token embeddings
+    sent = np.where(mask[..., None], vecs[:, w : w + m], 0.0).sum(axis=1) / lengths[:, None]
     ce, d_logits = learn.softmax_cross_entropy(
-        model.cls.weight @ sent + model.cls.bias, class_idx
+        sent @ model.cls.weight.T + model.cls.bias, class_ids
     )
-    grads["cls_w"] += w_s * np.outer(d_logits, sent)
-    grads["cls_b"] += w_s * d_logits
-    d_sent = w_s * (model.cls.weight.T @ d_logits)
-    np.add.at(grads["embedding"], ids, d_sent[None, :] / m)
+    grads["cls_w"] += w_s * (d_logits.T @ sent)
+    grads["cls_b"] += w_s * d_logits.sum(axis=0)
+    d_sent = w_s * (d_logits @ model.cls.weight) / lengths[:, None]
 
-    # Labeling head
-    token_mat = learn.encode_tokens(ids, model.encoder)
-    emissions = model.emit.weight @ token_mat + model.emit.bias[:, None]
-    nll, d_emissions, d_trans = crf_nll_grad(emissions, model.trans, labels)
-    grads["emit_w"] += w_e * (d_emissions @ token_mat.T)
-    grads["emit_b"] += w_e * d_emissions.sum(axis=1)
+    # Labeling head. The emission head as (h, offset x label): one matmul
+    # projects every padded position through every window offset, and the
+    # emissions at t sum offset j's projection of position t + j.
+    head = model.emit.weight.reshape(k, span, hidden).transpose(2, 1, 0).reshape(hidden, -1)
+    proj = (vecs.reshape(-1, hidden) @ head).reshape(b, m + 2 * w, span, k)
+    emissions = proj[:, :m, 0] + model.emit.bias
+    for j in range(1, span):
+        emissions += proj[:, j : j + m, j]
+    nll, d_emissions, d_trans = crf_nll_grad(emissions, model.trans, labels, lengths)
+    grads["emit_b"] += w_e * d_emissions.sum(axis=(0, 1))
     grads["trans"] += w_e * d_trans
-    d_tokens = model.emit.weight.T @ d_emissions  # ((2w+1)h, m)
-    np.add.at(
-        grads["embedding"],
-        learn.window_ids(ids, window),
-        w_e * d_tokens.T.reshape(m, 2 * window + 1, hidden),
-    )
+    d_proj = np.zeros_like(proj)
+    for j in range(span):
+        d_proj[:, j : j + m, j] = d_emissions
+    d_proj = w_e * d_proj.reshape(-1, span * k)
+    d_head = vecs.reshape(-1, hidden).T @ d_proj
+    grads["emit_w"] += d_head.reshape(hidden, span, k).transpose(2, 1, 0).reshape(k, -1)
+
+    # Both heads reach the embedding through the padded positions: the mean's
+    # gradient joins each real token's own, then one scatter of id * h + column.
+    d_vecs = (d_proj @ head.T).reshape(b, m + 2 * w, hidden)
+    d_vecs[:, w : w + m] += np.where(mask[..., None], d_sent[:, None, :], 0.0)
+    flat = np.add.outer(padded.ravel() * hidden, np.arange(hidden)).ravel()
+    grads["embedding"] += np.bincount(
+        flat, weights=d_vecs.ravel(), minlength=emb.size
+    ).reshape(emb.shape)
     return w_s * ce + w_e * nll
 
 
@@ -311,10 +350,15 @@ def train_multitask(
     class_to_idx = {c: i for i, c in enumerate(classes)}
     model = init_model(vocab, classes, cfg)
 
-    encoded = []
-    for sample in train:
-        ids = vocab.encode(sample.question_tokens[:MAX_LEN])
-        encoded.append((ids, class_to_idx[sample.sketch_class], gold_labels(sample, MAX_LEN)))
+    # The corpus as one PAD-padded matrix; each batch takes its rows, cut to
+    # its longest question.
+    lengths = np.array([min(len(s.question_tokens), MAX_LEN) for s in train])
+    ids = np.full((len(lengths), lengths.max()), PAD, dtype=np.int64)
+    labels = np.full(ids.shape, L_O, dtype=np.int64)
+    for row, sample in enumerate(train):
+        ids[row, : lengths[row]] = vocab.encode(sample.question_tokens[:MAX_LEN])
+        labels[row, : lengths[row]] = gold_labels(sample, MAX_LEN)
+    class_ids = np.array([class_to_idx[s.sketch_class] for s in train], dtype=np.int64)
 
     params = model.params()
     opt = AdamState.for_params(params, lr=cfg.lr)
@@ -323,13 +367,19 @@ def train_multitask(
     best = model.snapshot()
     best_acc = -1.0
     for epoch in range(cfg.epochs):
-        order = shuffler.permutation(len(encoded))
+        order = shuffler.permutation(len(lengths))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            width = lengths[batch].max()
             grads = _zero_grads(params)
-            for i in batch:
-                ids, class_idx, labels = encoded[i]
-                sample_grads(model, ids, class_idx, labels, grads)
+            sample_grads(
+                model,
+                ids[batch, :width],
+                lengths[batch],
+                class_ids[batch],
+                labels[batch, :width],
+                grads,
+            )
             for g in grads.values():
                 g /= len(batch)
             learn.step(params, grads, opt)

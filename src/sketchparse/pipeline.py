@@ -7,7 +7,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import os
 import re
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -551,10 +553,40 @@ COOCCUR_NAME = "cooccurrence.json"
 GENMODEL_NAME = "genmodel.json"
 
 
-def save_system(system: ParserSystem, model_dir: str | Path) -> None:
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
+CHECKPOINT_FILES = (MANIFEST_NAME, ARRAYS_NAME, PATTERNS_NAME, COOCCUR_NAME, GENMODEL_NAME)
 
+
+def save_system(system: ParserSystem, model_dir: str | Path) -> None:
+    """Write the checkpoint into a temporary sibling directory, then rename
+    it into place, so that a save that fails or is killed while writing
+    leaves the old checkpoint as it was. An existing ``model_dir`` is
+    replaced whole, so it may hold only checkpoint files."""
+    model_dir = Path(model_dir).resolve()
+    if model_dir.is_dir():
+        foreign = sorted(p.name for p in model_dir.iterdir() if p.name not in CHECKPOINT_FILES)
+        if foreign:
+            raise learn.CheckpointError(
+                f"{model_dir} holds files that are not part of a checkpoint: {', '.join(foreign)}"
+            )
+    # Named, not mkdtemp'd, so the directory gets the umask's permissions.
+    staging = model_dir.with_name(f".{model_dir.name}.{os.urandom(6).hex()}.partial")
+    staging.mkdir(parents=True)
+    try:
+        _write_checkpoint(system, staging)
+        if model_dir.is_dir():
+            # Between these two renames the old checkpoint sits under the
+            # retired name, complete.
+            retired = staging.with_name(staging.name + ".old")
+            os.replace(model_dir, retired)
+            os.replace(staging, model_dir)
+            shutil.rmtree(retired)
+        else:
+            os.replace(staging, model_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_checkpoint(system: ParserSystem, model_dir: Path) -> None:
     manifest = {
         "format_version": learn.CHECKPOINT_VERSION,
         "classes": system.multitask.classes,

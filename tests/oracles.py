@@ -10,8 +10,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchparse import genscore, learn, lf, matchers, pipeline
+from sketchparse import genscore, learn, lf, matchers, multitask, pipeline
 from sketchparse.data import Corpus
+from sketchparse.learn import LinearHead
 from sketchparse.matchers import CooccurrenceModel, MatcherEnsemble, MatcherModel, PatternIndex
 from sketchparse.pipeline import FusionWeights
 
@@ -63,9 +64,10 @@ def pair_loss_grads(
         diff = a - b
         feats = np.concatenate([a, b, np.abs(diff), a * b])
         loss, d_logits = learn.softmax_cross_entropy(
-            model.head.weight @ feats + model.head.bias, label
+            (model.head.weight @ feats + model.head.bias)[None], [label]
         )
-        total += loss
+        d_logits = d_logits[0]
+        total += float(loss[0])
         grads["head_w"] += np.outer(d_logits, feats)
         grads["head_b"] += d_logits
         d_feats = model.head.weight.T @ d_logits
@@ -180,3 +182,110 @@ def score_candidate_pe(
     if not pairs:
         return 0.5
     return float(np.mean([model.pair_prob(p, e) for p, e in pairs]))
+
+
+def crf_score(emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]) -> float:
+    """Path score of one (K, T) sequence: emissions plus transitions along the labels."""
+    labels = list(labels)
+    k, m = emissions.shape
+    if len(labels) != m:
+        raise multitask.BadLabel(f"{len(labels)} labels for {m} positions")
+    if any(y < 0 or y >= k for y in labels):
+        raise multitask.BadLabel(f"label outside 0..{k - 1}")
+    total = float(emissions[labels[0], 0])
+    for t in range(1, m):
+        total += float(trans[labels[t - 1], labels[t]] + emissions[labels[t], t])
+    return total
+
+
+def crf_nll_grad(
+    emissions: np.ndarray, trans: np.ndarray, labels: Sequence[int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One (K, T) sequence: NLL with gradients w.r.t. emissions and
+    transitions (marginals minus gold)."""
+    labels = list(labels)
+    k, m = emissions.shape
+    alpha = np.empty((m, k))
+    alpha[0] = emissions[:, 0]
+    for t in range(1, m):
+        alpha[t] = learn.logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emissions[:, t]
+    beta = np.empty((m, k))
+    beta[m - 1] = 0.0
+    for t in range(m - 2, -1, -1):
+        beta[t] = learn.logsumexp(
+            trans + emissions[:, t + 1][None, :] + beta[t + 1][None, :], axis=1
+        )
+    log_z = learn.logsumexp(alpha[m - 1])
+    loss = float(log_z) - crf_score(emissions, trans, labels)
+
+    d_emissions = np.exp(alpha + beta - log_z).T  # node marginals, (k, m)
+    d_trans = np.zeros_like(trans)
+    for t in range(1, m):
+        log_pair = (
+            alpha[t - 1][:, None] + trans + emissions[:, t][None, :] + beta[t][None, :] - log_z
+        )
+        d_trans += np.exp(log_pair)
+    d_emissions[labels[0], 0] -= 1.0
+    for t in range(1, m):
+        d_emissions[labels[t], t] -= 1.0
+        d_trans[labels[t - 1], labels[t]] -= 1.0
+    return loss, d_emissions, d_trans
+
+
+def sample_grads(
+    model: multitask.MultiTaskModel,
+    ids: np.ndarray,
+    class_idx: int,
+    labels: Sequence[int],
+    grads: dict[str, np.ndarray],
+) -> float:
+    """One sample's joint loss, its gradients accumulated into ``grads``."""
+    w_s, w_e = model.config.loss_weights
+    window = model.encoder.window
+    hidden = model.encoder.hidden
+    m = len(ids)
+
+    sent = learn.encode_sentence(ids, model.encoder)
+    ce, d_logits = learn.softmax_cross_entropy(
+        (model.cls.weight @ sent + model.cls.bias)[None], [class_idx]
+    )
+    d_logits = d_logits[0]
+    grads["cls_w"] += w_s * np.outer(d_logits, sent)
+    grads["cls_b"] += w_s * d_logits
+    d_sent = w_s * (model.cls.weight.T @ d_logits)
+    np.add.at(grads["embedding"], ids, d_sent[None, :] / m)
+
+    token_mat = learn.encode_tokens(ids, model.encoder)
+    emissions = model.emit.weight @ token_mat + model.emit.bias[:, None]
+    nll, d_emissions, d_trans = crf_nll_grad(emissions, model.trans, labels)
+    grads["emit_w"] += w_e * (d_emissions @ token_mat.T)
+    grads["emit_b"] += w_e * d_emissions.sum(axis=1)
+    grads["trans"] += w_e * d_trans
+    d_tokens = model.emit.weight.T @ d_emissions  # ((2w+1)h, m)
+    np.add.at(
+        grads["embedding"],
+        learn.window_ids(ids, window),
+        w_e * d_tokens.T.reshape(m, 2 * window + 1, hidden),
+    )
+    return w_s * float(ce[0]) + w_e * nll
+
+
+def fit_pe_head(head: LinearHead, feats: np.ndarray, labels: np.ndarray, seed: int) -> None:
+    """matchers.fit_pe_head with one softmax_cross_entropy call per example."""
+    params = {"head_w": head.weight, "head_b": head.bias}
+    opt = learn.AdamState.for_params(params, lr=0.1)
+    shuffler = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        order = shuffler.permutation(len(labels))
+        for start in range(0, len(order), 32):
+            grads = {k: np.zeros_like(v) for k, v in params.items()}
+            batch = order[start : start + 32]
+            for i in batch:
+                _, d_logits = learn.softmax_cross_entropy(
+                    (head.weight @ feats[i] + head.bias)[None], [labels[i]]
+                )
+                grads["head_w"] += np.outer(d_logits[0], feats[i])
+                grads["head_b"] += d_logits[0]
+            for g in grads.values():
+                g /= len(batch)
+            learn.step(params, grads, opt)

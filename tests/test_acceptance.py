@@ -86,6 +86,13 @@ def _brute_force(emissions: np.ndarray, trans: np.ndarray):
     return paths, scores
 
 
+def _crf_one(emissions, trans, gold):
+    """The batched crf_nll_grad on a batch of one (K, T) sequence, in (K, T) layout."""
+    m = emissions.shape[1]
+    loss, d_e, d_t = crf_nll_grad(emissions.T[None], trans, np.array([gold]), np.array([m]))
+    return float(loss[0]), d_e[0].T, d_t
+
+
 def test_c2_crf_matches_enumeration():
     started = time.perf_counter()
     rng = np.random.default_rng(21)
@@ -99,7 +106,7 @@ def test_c2_crf_matches_enumeration():
         gold = gold_rng.integers(0, 4, size=m)
         gold_score = scores[np.flatnonzero((paths == gold).all(axis=1))[0]]
         expected_nll = float(logsumexp(scores)) - gold_score
-        got_nll = crf_nll_grad(emissions, trans, gold.tolist())[0]
+        got_nll = _crf_one(emissions, trans, gold)[0]
         assert abs(got_nll - expected_nll) <= 1e-6 * max(1.0, abs(expected_nll))
         assert viterbi(emissions, trans) == paths[int(np.argmax(scores))].tolist()
         checked += 1
@@ -117,9 +124,9 @@ def test_c3_gradient_checks():
         emissions = rng.normal(size=(4, m))
         trans = rng.normal(size=(4, 4))
         gold = [int(rng.integers(0, 4)) for _ in range(m)]
-        _, d_e, d_t = crf_nll_grad(emissions, trans, gold)
+        _, d_e, d_t = _crf_one(emissions, trans, gold)
         numeric = central_difference(
-            lambda: crf_nll_grad(emissions, trans, gold)[0],
+            lambda: _crf_one(emissions, trans, gold)[0],
             {"emissions": emissions, "trans": trans},
         )
         assert_close_grads({"emissions": d_e, "trans": d_t}, numeric)
@@ -133,10 +140,10 @@ def test_c3_gradient_checks():
 
         def loss():
             sent = emb[ids].mean(axis=0)
-            return softmax_cross_entropy(head @ sent + bias, target)[0]
+            return softmax_cross_entropy((head @ sent + bias)[None], [target])[0][0]
 
         sent = emb[ids].mean(axis=0)
-        _, d_logits = softmax_cross_entropy(head @ sent + bias, target)
+        d_logits = softmax_cross_entropy((head @ sent + bias)[None], [target])[1][0]
         analytic = {
             "head": np.outer(d_logits, sent),
             "bias": d_logits,

@@ -205,6 +205,14 @@ class TestExitCodes:
             assert err.count("\n") == 1
             assert not out.exists()
 
+    def test_repeated_class_is_two(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        rc = cli.main(["gen-data", "--out", str(out), "--classes", "yesno,yesno"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "data error: class 'yesno' given more than once\n", err
+        assert not out.exists()
+
     def test_missing_file_is_two(self, workspace, tmp_path):
         _, _, model_dir = workspace
         rc = cli.main(

@@ -182,11 +182,23 @@ class TestCrossEntropyGradient:
         for _ in range(20):
             logits = rng.normal(size=rng.integers(2, 7))
             target = int(rng.integers(0, len(logits)))
-            _, analytic = softmax_cross_entropy(logits, target)
+            _, analytic = softmax_cross_entropy(logits[None], [target])
             numeric = central_difference(
-                lambda: softmax_cross_entropy(logits, target)[0], {"logits": logits}
+                lambda: softmax_cross_entropy(logits[None], [target])[0][0], {"logits": logits}
             )
-            assert_close_grads({"logits": analytic}, numeric)
+            assert_close_grads({"logits": analytic[0]}, numeric)
+
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(scale=3.0, size=(7, 5))
+        targets = rng.integers(0, 5, size=7)
+        losses, grads = softmax_cross_entropy(logits, targets)
+        assert losses.shape == (7,) and grads.shape == (7, 5)
+        for row, target in enumerate(targets):
+            loss, grad = softmax_cross_entropy(logits[row : row + 1], [target])
+            assert losses[row] == loss[0]
+            assert np.array_equal(grads[row], grad[0])
+            assert loss[0] == pytest.approx(-np.log(softmax(logits[row])[target]), abs=1e-12)
 
     def test_through_sentence_encoder(self):
         # Composite check: loss = CE(head @ mean(emb rows) + bias).
@@ -200,10 +212,10 @@ class TestCrossEntropyGradient:
 
             def loss():
                 sent = emb[ids].mean(axis=0)
-                return softmax_cross_entropy(head @ sent + bias, target)[0]
+                return softmax_cross_entropy((head @ sent + bias)[None], [target])[0][0]
 
             sent = emb[ids].mean(axis=0)
-            _, d_logits = softmax_cross_entropy(head @ sent + bias, target)
+            d_logits = softmax_cross_entropy((head @ sent + bias)[None], [target])[1][0]
             analytic = {
                 "head": np.outer(d_logits, sent),
                 "bias": d_logits,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sketchparse import lf, matchers
 from sketchparse.data import Corpus, EmptyCorpus, make_sample
-from sketchparse.learn import Vocab
+from sketchparse.learn import LinearHead, Vocab
 from sketchparse.matchers import (
     CooccurrenceConfig,
     MatcherConfig,
@@ -18,6 +18,7 @@ from sketchparse.matchers import (
     build_cooccurrence,
     build_pattern_index,
     extract_pred_entity_pairs,
+    fit_pe_head,
     init_matcher,
     pair_loss_grads,
     ranking_resample,
@@ -503,3 +504,17 @@ class TestCooccurrence:
         tokens = tuple("( and ( mso:a.b e1 ) ( mso:c.d e2 ) )".split())
         expected = (model.pair_prob("mso:a.b", "e1") + model.pair_prob("mso:c.d", "e2")) / 2
         assert score_candidate_pe(tokens, ["e1", "e2"], model) == pytest.approx(expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_batched_head_matches_per_example_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 40, size=(n, 3))
+        feats = np.column_stack([np.ones(n), counts[:, 0] > 0, np.log1p(counts)])
+        labels = (counts[:, 0] > 0).astype(np.int64)
+        labels[rng.random(n) < 0.1] ^= 1
+        batched, looped = LinearHead.zeros(2, 5), LinearHead.zeros(2, 5)
+        fit_pe_head(batched, feats, labels, seed % 1000)
+        oracles.fit_pe_head(looped, feats, labels, seed % 1000)
+        assert np.max(np.abs(batched.weight - looped.weight)) <= 1e-12
+        assert np.max(np.abs(batched.bias - looped.bias)) <= 1e-12

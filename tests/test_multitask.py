@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchparse import multitask
-from sketchparse.learn import Vocab, encode_tokens, logsumexp, softmax_cross_entropy
+from sketchparse.learn import PAD, Vocab, encode_tokens, logsumexp, softmax_cross_entropy
 from sketchparse.multitask import (
     L_B,
     L_I,
@@ -17,7 +19,6 @@ from sketchparse.multitask import (
     MultiTaskConfig,
     classify_sketch,
     crf_nll_grad,
-    crf_score,
     dev_metrics,
     extract_entities,
     gold_labels,
@@ -26,6 +27,7 @@ from sketchparse.multitask import (
     train_multitask,
     viterbi,
 )
+from tests import oracles
 from tests.test_learn import assert_close_grads, central_difference
 
 
@@ -47,15 +49,33 @@ def random_instance(rng, k=4, m=6, scale=2.0):
     return rng.normal(scale=scale, size=(k, m)), rng.normal(scale=scale, size=(k, k))
 
 
+def crf_one(emissions: np.ndarray, trans: np.ndarray, labels):
+    """The batched CRF on one (K, T) sequence: (NLL, (K, T) emission
+    gradient, transition gradient)."""
+    m = emissions.shape[1]
+    loss, d_e, d_t = crf_nll_grad(emissions.T[None], trans, np.array([labels]), np.array([m]))
+    return float(loss[0]), d_e[0].T, d_t
+
+
 def log_partition(emissions: np.ndarray, trans: np.ndarray) -> float:
     """log Z as training computes it: crf_nll_grad's loss for a path plus
     that path's score."""
     path = [0] * emissions.shape[1]
-    return crf_nll_grad(emissions, trans, path)[0] + crf_score(emissions, trans, path)
+    return crf_one(emissions, trans, path)[0] + oracles.crf_score(emissions, trans, path)
 
 
 def crf_nll(emissions: np.ndarray, trans: np.ndarray, labels) -> float:
-    return crf_nll_grad(emissions, trans, labels)[0]
+    return crf_one(emissions, trans, labels)[0]
+
+
+def padded(rows, fill):
+    """Rows of different lengths as one (B, T) matrix, ``fill`` past each
+    row's end, and the lengths."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.full((len(rows), lengths.max()), fill, dtype=np.int64)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out, lengths
 
 
 class TestCrfForward:
@@ -107,7 +127,7 @@ class TestCrfNll:
         for _ in range(20):
             emissions, trans = random_instance(rng, m=int(rng.integers(2, 6)), scale=1.0)
             gold = [int(rng.integers(0, 4)) for _ in range(emissions.shape[1])]
-            _, d_e, d_t = crf_nll_grad(emissions, trans, gold)
+            _, d_e, d_t = crf_one(emissions, trans, gold)
             numeric = central_difference(
                 lambda: crf_nll(emissions, trans, gold),
                 {"emissions": emissions, "trans": trans},
@@ -115,10 +135,139 @@ class TestCrfNll:
             assert_close_grads({"emissions": d_e, "trans": d_t}, numeric)
 
     def test_bad_label_rejected(self):
+        emissions, trans = np.zeros((2, 3, 4)), np.zeros((4, 4))
+        good = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(multitask.BadLabel, match="label outside"):
+            crf_nll_grad(emissions, trans, np.array([[0, 9, 0], [0, 0, 0]]), np.array([3, 3]))
         with pytest.raises(multitask.BadLabel):
-            crf_score(np.zeros((4, 2)), np.zeros((4, 4)), [0, 9])
-        with pytest.raises(multitask.BadLabel):
-            crf_score(np.zeros((4, 2)), np.zeros((4, 4)), [0])
+            crf_nll_grad(emissions, trans, good[:, :2], np.array([3, 3]))
+        for lengths in ([0, 3], [3, 4]):
+            with pytest.raises(multitask.BadLabel, match="lengths outside"):
+                crf_nll_grad(emissions, trans, good, np.array(lengths))
+
+    def test_labels_past_a_length_are_ignored(self):
+        rng = np.random.default_rng(11)
+        emissions, trans = rng.normal(size=(1, 5, 4)), rng.normal(size=(4, 4))
+        kept = crf_nll_grad(emissions, trans, np.array([[1, 2, 0, 0, 0]]), np.array([2]))
+        junk = crf_nll_grad(emissions, trans, np.array([[1, 2, 9, -1, 3]]), np.array([2]))
+        for a, b in zip(kept, junk):
+            assert np.array_equal(a, b)
+
+
+def random_batch(rng, b: int, max_len: int, k: int = 4, scale: float = 2.0):
+    """Ragged random CRF inputs: (B, T, K) emissions, transitions, (B, T)
+    labels (-1 past each length) and lengths in 1..max_len."""
+    lengths = rng.integers(1, max_len + 1, size=b)
+    m = int(lengths.max())
+    labels = rng.integers(0, k, size=(b, m))
+    labels[np.arange(m)[None, :] >= lengths[:, None]] = -1
+    return (
+        rng.normal(scale=scale, size=(b, m, k)),
+        rng.normal(scale=scale, size=(k, k)),
+        labels,
+        lengths,
+    )
+
+
+def random_model(rng, vocab_size=12, hidden=5, window=2):
+    vocab = Vocab.build([[f"w{i}" for i in range(vocab_size - 2)]])
+    model = init_model(vocab, ("a", "b", "c"), MultiTaskConfig(hidden=hidden, window=window))
+    model.cls.weight = rng.normal(size=model.cls.weight.shape)
+    model.cls.bias = rng.normal(size=model.cls.bias.shape)
+    model.emit.weight = rng.normal(scale=0.5, size=model.emit.weight.shape)
+    model.emit.bias = rng.normal(size=model.emit.bias.shape)
+    model.trans = rng.normal(size=model.trans.shape)
+    return model
+
+
+def random_samples(rng, model, b: int, max_len: int):
+    """A ragged batch: PAD-padded ids, lengths, class ids, padded labels."""
+    lengths = rng.integers(1, max_len + 1, size=b)
+    ids, _ = padded([rng.integers(1, len(model.vocab), size=n) for n in lengths], PAD)
+    labels, _ = padded([rng.integers(0, 3, size=n) for n in lengths], L_O)
+    return ids, lengths, rng.integers(0, len(model.classes), size=b), labels
+
+
+def zero_grads(model):
+    return {k: np.zeros_like(v) for k, v in model.params().items()}
+
+
+batch_sizes = st.integers(1, 40)
+max_lengths = st.integers(1, 20)
+
+
+class TestBatchedAgainstOracles:
+    """The batched CRF and joint-loss gradient against the per-sample
+    references in tests/oracles.py, on ragged batches."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=batch_sizes, max_len=max_lengths, seed=st.integers(0, 2**32 - 1))
+    @example(b=1, max_len=1, seed=0)
+    @example(b=40, max_len=20, seed=0)
+    def test_crf_matches_per_sample(self, b, max_len, seed):
+        emissions, trans, labels, lengths = random_batch(np.random.default_rng(seed), b, max_len)
+        loss, d_e, d_t = crf_nll_grad(emissions, trans, labels, lengths)
+        assert loss.shape == (b,) and d_e.shape == emissions.shape
+        expected_t = np.zeros_like(trans)
+        for i, n in enumerate(lengths):
+            ref_loss, ref_e, ref_t = oracles.crf_nll_grad(emissions[i, :n].T, trans, labels[i, :n])
+            assert abs(loss[i] - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+            assert np.max(np.abs(d_e[i, :n] - ref_e.T)) <= 1e-10
+            assert not d_e[i, n:].any()
+            expected_t += ref_t
+        assert np.max(np.abs(d_t - expected_t)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=batch_sizes, max_len=max_lengths, seed=st.integers(0, 2**32 - 1))
+    @example(b=1, max_len=1, seed=0)
+    @example(b=40, max_len=20, seed=0)
+    def test_sample_grads_match_per_sample(self, b, max_len, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        ids, lengths, class_ids, labels = random_samples(rng, model, b, max_len)
+        grads = zero_grads(model)
+        losses = sample_grads(model, ids, lengths, class_ids, labels, grads)
+        expected = zero_grads(model)
+        for i, n in enumerate(lengths):
+            ref = oracles.sample_grads(model, ids[i, :n], int(class_ids[i]), labels[i, :n], expected)
+            assert abs(losses[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - expected[name])) <= 1e-10, name
+
+    def test_padding_leaves_other_rows_unchanged(self):
+        rng = np.random.default_rng(12)
+        emissions, trans, labels, lengths = random_batch(rng, 6, 8)
+        m = emissions.shape[1] + 5
+        wide_e = np.concatenate(
+            [np.pad(emissions, ((0, 0), (0, 5), (0, 0))), rng.normal(size=(1, m, 4))]
+        )
+        wide_labels = np.concatenate(
+            [np.pad(labels, ((0, 0), (0, 5)), constant_values=-1), rng.integers(0, 4, (1, m))]
+        )
+        wide_lengths = np.append(lengths, m)
+        loss, d_e, d_t = crf_nll_grad(emissions, trans, labels, lengths)
+        wide_loss, wide_d_e, wide_d_t = crf_nll_grad(wide_e, trans, wide_labels, wide_lengths)
+        alone_t = crf_nll_grad(wide_e[-1:], trans, wide_labels[-1:], wide_lengths[-1:])[2]
+        assert np.max(np.abs(wide_loss[:-1] - loss)) <= 1e-12
+        assert np.max(np.abs(wide_d_e[:-1, : emissions.shape[1]] - d_e)) <= 1e-12
+        assert not wide_d_e[:-1, emissions.shape[1] :].any()
+        assert np.max(np.abs(wide_d_t - alone_t - d_t)) <= 1e-12
+
+        model = random_model(rng)
+        ids, lengths, class_ids, labels = random_samples(rng, model, 6, 8)
+        grads = zero_grads(model)
+        losses = sample_grads(model, ids, lengths, class_ids, labels, grads)
+        extra = rng.integers(1, len(model.vocab), size=ids.shape[1] + 5)
+        wide_ids, wide_lengths = padded([*(r[:n] for r, n in zip(ids, lengths)), extra], PAD)
+        wide_labels, _ = padded([*(r[:n] for r, n in zip(labels, lengths)), extra % 3], L_O)
+        wide_grads, alone = zero_grads(model), zero_grads(model)
+        wide_losses = sample_grads(
+            model, wide_ids, wide_lengths, np.append(class_ids, 1), wide_labels, wide_grads
+        )
+        sample_grads(model, wide_ids[-1:], wide_lengths[-1:], np.array([1]), wide_labels[-1:], alone)
+        assert np.max(np.abs(wide_losses[:-1] - losses)) <= 1e-12
+        for name in grads:
+            assert np.max(np.abs(wide_grads[name] - alone[name] - grads[name])) <= 1e-12, name
 
 
 class TestViterbi:
@@ -200,30 +349,34 @@ class TestModelHeads:
         model = tiny_model()
         ids = model.vocab.encode(["what", "is", "x"])
         labels = [L_O, L_O, L_B]
-        grads = {k: np.zeros_like(v) for k, v in model.params().items()}
-        joint = sample_grads(model, ids, 1, labels, grads)
+        joint = sample_grads(
+            model, ids[None], np.array([3]), np.array([1]), np.array([labels]), zero_grads(model)
+        )
         sent = model.encoder.embedding[ids].mean(axis=0)
-        ce, _ = softmax_cross_entropy(model.cls.weight @ sent + model.cls.bias, 1)
+        ce, _ = softmax_cross_entropy((model.cls.weight @ sent + model.cls.bias)[None], [1])
         emissions = model.emit.weight @ encode_tokens(ids, model.encoder) + model.emit.bias[:, None]
         nll = crf_nll(emissions, model.trans, labels)
-        assert joint == pytest.approx(1.0 * ce + 2.0 * nll, abs=1e-9)
+        assert joint.shape == (1,)
+        assert joint[0] == pytest.approx(1.0 * ce[0] + 2.0 * nll, abs=1e-9)
 
     def test_joint_gradients_match_finite_differences(self):
+        # A ragged batch of three, so padding and the per-row means are checked too.
         model = tiny_model(cfg=MultiTaskConfig(hidden=3, window=1, seed=1))
         rng = np.random.default_rng(9)
         model.cls.weight = rng.normal(size=model.cls.weight.shape)
         model.emit.weight = rng.normal(scale=0.3, size=model.emit.weight.shape)
         model.trans = rng.normal(size=model.trans.shape)
-        ids = model.vocab.encode(["what", "x", "y"])
-        gold = [L_O, L_B, L_I]
+        ids, lengths = padded(
+            [model.vocab.encode(q) for q in (["what", "x", "y"], ["x"], ["is", "y"])], PAD
+        )
+        labels, _ = padded([[L_O, L_B, L_I], [L_B], [L_O, L_B]], L_O)
+        class_ids = np.array([1, 0, 2])
 
         params = model.params()
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        sample_grads(model, ids, 1, gold, grads)
+        grads = zero_grads(model)
+        sample_grads(model, ids, lengths, class_ids, labels, grads)
         numeric = central_difference(
-            lambda: sample_grads(
-                model, ids, 1, gold, {k: np.zeros_like(v) for k, v in params.items()}
-            ),
+            lambda: sample_grads(model, ids, lengths, class_ids, labels, zero_grads(model)).sum(),
             params,
         )
         assert_close_grads(grads, numeric)
@@ -231,7 +384,6 @@ class TestModelHeads:
     def test_loss_weight_wiring(self):
         # With one task weight zeroed, shared parameters move only through the other.
         base_cfg = MultiTaskConfig(hidden=8, window=1, seed=0)
-        ids_labels = (("what", "is", "x"), 0, [L_O, L_O, L_B])
 
         def embedding_grad(weights):
             model = tiny_model(cfg=base_cfg)
@@ -241,14 +393,25 @@ class TestModelHeads:
             model.config = MultiTaskConfig(
                 hidden=8, window=1, seed=0, loss_weights=weights
             )
-            grads = {k: np.zeros_like(v) for k, v in model.params().items()}
-            ids = model.vocab.encode(ids_labels[0])
-            sample_grads(model, ids, ids_labels[1], ids_labels[2], grads)
+            grads = zero_grads(model)
+            ids = model.vocab.encode(("what", "is", "x"))
+            sample_grads(
+                model, ids[None], np.array([3]), np.array([0]), np.array([[L_O, L_O, L_B]]), grads
+            )
             return grads["embedding"]
 
         assert np.abs(embedding_grad((0.0, 0.0))).max() == 0.0
         assert np.abs(embedding_grad((1.0, 0.0))).max() > 0.0
         assert np.abs(embedding_grad((0.0, 2.0))).max() > 0.0
+
+    def test_empty_row_rejected(self):
+        model = tiny_model()
+        ids = np.array([[2, 3], [PAD, PAD]])
+        with pytest.raises(multitask.EmptyInput):
+            sample_grads(
+                model, ids, np.array([2, 0]), np.array([0, 1]), np.zeros((2, 2), np.int64),
+                zero_grads(model),
+            )
 
 
 @pytest.fixture(scope="module")

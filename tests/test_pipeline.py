@@ -692,6 +692,41 @@ class TestPersistence:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_failed_save_keeps_old_checkpoint(self, trained_system, tmp_path, monkeypatch):
+        model_dir = tmp_path / "model"
+        save_system(trained_system, model_dir)
+        before = {p.name: p.read_bytes() for p in model_dir.iterdir()}
+        write_json = learn.save_json
+
+        def half_written(path, payload):
+            if path.name == pipeline.PATTERNS_NAME:
+                path.write_text("{")
+                raise OSError("disk full")
+            write_json(path, payload)
+
+        monkeypatch.setattr(learn, "save_json", half_written)
+        other = dataclasses.replace(trained_system, weights=FusionWeights(0.5, 0.25, 0.25))
+        with pytest.raises(OSError, match="disk full"):
+            save_system(other, model_dir)
+        assert {p.name: p.read_bytes() for p in model_dir.iterdir()} == before
+        assert load_system(model_dir).weights == trained_system.weights
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+    def test_resave_replaces_checkpoint(self, trained_system, tmp_path):
+        model_dir = tmp_path / "model"
+        save_system(trained_system, model_dir)
+        weights = FusionWeights(0.5, 0.25, 0.25)
+        save_system(dataclasses.replace(trained_system, weights=weights), model_dir)
+        assert load_system(model_dir).weights == weights
+        assert sorted(p.name for p in model_dir.iterdir()) == sorted(pipeline.CHECKPOINT_FILES)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+    def test_directory_with_other_files_not_replaced(self, trained_system, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(learn.CheckpointError, match="notes.txt"):
+            save_system(trained_system, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
     def test_outcome_analysis_stable_after_reload(
         self, trained_system, small_splits, tmp_path
     ):
