@@ -2,14 +2,17 @@
 """Interleaved A/B benchmark of two checkouts of this repository.
 
     python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
-        [--seed S --seconds S]
+        [--seed S --seconds S --trace 0|1]
 
 Runs each checkout's own ``bench/run.py`` in turn, N pairs, swapping which
 side runs first in each pair so that drift on the host falls on both sides
 alike. From each run's last JSON line it prints, for every end-to-end metric
 of the change's BENCHMARK.json: both medians, both interquartile ranges, the
 ratio change/parent of the medians and the number of pairs the change won.
-Exits 1 if any run is not ``correct`` or has ``failed`` > 0.
+With ``--trace 1`` each run is traced and the same summary covers the
+``per_layer`` metrics instead, so a per-layer shift is read over N traced
+runs a side rather than one. Exits 1 if any run is not ``correct`` or has
+``failed`` > 0.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -42,10 +46,10 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run in ``checkout``; its last JSON line."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``bench/run.py`` run in ``checkout``; its last JSON line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if not lines:
@@ -64,8 +68,8 @@ def iqr(values: list[float]) -> float:
 
 
 def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> list[dict]:
-    """Per end-to-end metric: both medians and IQRs, the ratio change/parent
-    and the pairs in which the change was strictly better."""
+    """Per metric: both medians and IQRs, the ratio change/parent and the
+    pairs in which the change was strictly better."""
     rows = []
     for m in metrics:
         name = m["name"]
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None, run: Callable[..., dict] = run_bench) ->
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run(getattr(args, side), args.workload, args.seed, args.seconds, args.trace)
             runs[side].append(result)
             if not result["correct"] or result["failed"] > 0:
                 bad.append(f"pair {pair} {side}: correct={result['correct']} "
@@ -102,14 +106,16 @@ def main(argv: list[str] | None = None, run: Callable[..., dict] = run_bench) ->
             print(f"pair {pair + 1}/{args.pairs} {side}: " + ", ".join(
                 f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()), flush=True)
 
-    rows = summarise(spec["end_to_end"], runs)
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, "
+    rows = summarise(spec["per_layer" if args.trace else "end_to_end"], runs)
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, trace {args.trace}, "
           "medians [IQR], ratio change/parent, pairs the change won")
+    width = max(len(r["name"]) for r in rows)
     for r in rows:
-        print(f"  {r['name']:<14} {r['parent_median']:>11.5g} [{r['parent_iqr']:.3g}]"
+        print(f"  {r['name']:<{width}} {r['parent_median']:>11.5g} [{r['parent_iqr']:.3g}]"
               f" -> {r['change_median']:>11.5g} [{r['change_iqr']:.3g}] {r['unit']:<5}"
               f" ratio {r['ratio']:.3f}  won {r['wins']}/{r['pairs']} ({r['better']} is better)")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "rows": rows}))
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "trace": args.trace,
+                      "rows": rows}))
     for line in bad:
         print(f"ab_bench: run not correct: {line}", file=sys.stderr)
     return 1 if bad else 0

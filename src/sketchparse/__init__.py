@@ -35,7 +35,6 @@ from .lf import (
 from .matchers import (
     build_cooccurrence,
     build_pattern_index,
-    sample_negatives,
     score_candidate_pe,
     score_pair,
     train_matcher_ensemble,
@@ -94,7 +93,6 @@ __all__ = [
     "parse_logical_form",
     "predict",
     "rank",
-    "sample_negatives",
     "save_jsonl",
     "save_system",
     "score_candidate_pe",

@@ -4,10 +4,11 @@ ensemble, plus the predicate-entity co-occurrence scorer."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .data import Corpus, EmptyCorpus, Sample
 from .learn import AdamState, EncoderParams, LinearHead, Vocab
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class EmptyClass(Exception):
@@ -113,14 +116,6 @@ def build_pattern_index(train: Corpus) -> PatternIndex:
 
 
 @dataclass(frozen=True)
-class PatternPairSample:
-    qp: lf.QuestionPattern
-    lfp: lf.LfPattern
-    label: int
-    sketch_class: str
-
-
-@dataclass(frozen=True)
 class MatcherConfig:
     hidden: int = 64
     epochs: int = 3
@@ -192,38 +187,41 @@ def score_pair(
     return float(learn.softmax(logits[0])[1])
 
 
+def bag_matrix(id_lists: Sequence[np.ndarray], vocab_size: int) -> np.ndarray:
+    """One row per id list with 1/len at each of its ids, so a repeated id
+    gets 2/len and ``bags @ embedding`` is each list's mean embedding."""
+    lengths = np.array([len(ids) for ids in id_lists])
+    bags = np.zeros((len(id_lists), vocab_size))
+    np.add.at(
+        bags,
+        (np.repeat(np.arange(len(id_lists)), lengths), np.concatenate(id_lists)),
+        np.repeat(1.0 / lengths, lengths),
+    )
+    return bags
+
+
 def pair_loss_grads(
     model: MatcherModel,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray, int]],
+    pairs: np.ndarray,
+    bags: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> float:
-    """Mean cross-entropy over (qp ids, lfp ids, label) pairs; accumulates grads.
+    """Mean cross-entropy over the (question row, LF row, label) rows of the
+    (n, 3) int array ``pairs``; accumulates grads.
 
-    The batch's 2n patterns form a bag matrix (entries 1/len), so the mean
-    embeddings are ``bag @ embedding`` and the embedding gradient is
-    ``bag.T @ d_mean``.
+    The rows index ``bags`` (see ``bag_matrix``). The batch's 2n bag rows
+    give the mean embeddings as ``bag @ embedding`` and the embedding
+    gradient as ``bag.T @ d_mean``.
     """
     n = len(pairs)
     if n == 0:
         return 0.0
     emb = model.encoder.embedding
-    a_ids, b_ids, labels = zip(*pairs)
-    seqs = a_ids + b_ids
-    lengths = np.array([len(ids) for ids in seqs])
-    bag = np.zeros((2 * n, len(emb)))
-    np.add.at(
-        bag,
-        (np.repeat(np.arange(2 * n), lengths), np.concatenate(seqs)),
-        np.repeat(1.0 / lengths, lengths),
-    )
+    bag = bags[np.concatenate([pairs[:, 0], pairs[:, 1]])]
     means = bag @ emb
     a, b = means[:n], means[n:]
     feats, logits = pair_logits(a, b, model.head)
-    labels = np.array(labels)
-    rows = np.arange(n)
-    total = -float(learn.log_softmax(logits)[rows, labels].sum())
-    d_logits = learn.softmax(logits)
-    d_logits[rows, labels] -= 1.0
+    losses, d_logits = learn.softmax_cross_entropy(logits, pairs[:, 2])
     grads["head_w"] += d_logits.T @ feats
     grads["head_b"] += d_logits.sum(axis=0)
     d_feats = d_logits @ model.head.weight
@@ -234,38 +232,16 @@ def pair_loss_grads(
     grads["embedding"] += bag.T @ np.concatenate([d_a, d_b])
     for g in grads.values():
         g /= n
-    return total / n
-
-
-def sample_negatives(
-    qp: lf.QuestionPattern,
-    gold_class: str,
-    gold_pattern: lf.LfPattern,
-    index: PatternIndex,
-    k: int,
-    rng: random.Random | int,
-) -> list[PatternPairSample]:
-    """Up to k uniform non-gold patterns from the gold sketch class."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    entries = index.patterns(gold_class)
-    if not entries:
-        raise EmptyClass(f"no patterns for class {gold_class!r}")
-    pool = [e.pattern for e in entries if e.pattern.tokens != gold_pattern.tokens]
-    if len(pool) > k:
-        pool = rng.sample(pool, k)
-    return [
-        PatternPairSample(qp=qp, lfp=p, label=0, sketch_class=gold_class) for p in pool
-    ]
+    return float(losses.sum()) / n
 
 
 def select_by_rank(
-    scored_negatives: Sequence[tuple[lf.LfPattern, float]],
+    scored_negatives: Sequence[tuple[T, float]],
     rng: random.Random,
     hard_count: int = HARD_COUNT,
     easy_count: int = EASY_COUNT,
     threshold: float = HARD_THRESHOLD,
-) -> list[lf.LfPattern]:
+) -> list[T]:
     """Pick min(hard_count, |p > threshold|) hard and min(easy_count, rest) easy negatives."""
     hard = [p for p, prob in scored_negatives if prob > threshold]
     easy = [p for p, prob in scored_negatives if prob <= threshold]
@@ -274,36 +250,52 @@ def select_by_rank(
     return list(picked_hard) + list(picked_easy)
 
 
+def negative_pairs(q_rows: Sequence[int], picks: Sequence[Sequence[int]]) -> np.ndarray:
+    """(question row, negative row, 0) rows: each question's picks in turn."""
+    counts = [len(p) for p in picks]
+    return np.column_stack(
+        [
+            np.repeat(np.asarray(q_rows, dtype=np.int64), counts),
+            np.fromiter(itertools.chain.from_iterable(picks), np.int64, sum(counts)),
+            np.zeros(sum(counts), np.int64),
+        ]
+    )
+
+
 def ranking_resample(
     model: MatcherModel,
-    pool: Sequence[tuple[lf.QuestionPattern, str, lf.LfPattern, Sequence[lf.LfPattern]]],
+    questions: Sequence[tuple[int, int, Sequence[int]]],
+    patterns: Sequence[lf.TokenSeq],
     rng: random.Random | int,
     hard_count: int = HARD_COUNT,
     easy_count: int = EASY_COUNT,
     threshold: float = HARD_THRESHOLD,
-    scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] | None = None,
-) -> list[PatternPairSample]:
-    """Per question: rescore its negative pool with ``model`` and keep the
-    ranking-sampled picks, labeled 0.
+    scored: dict[tuple[int, int], list[tuple[int, float]]] | None = None,
+) -> np.ndarray:
+    """Per (question row, gold row, negative rows) question: rank its
+    negatives by ``model`` and keep the ranking-sampled picks, returned as
+    ``negative_pairs``. Rows index ``patterns``.
 
-    ``scores`` memoises ``score_pair`` by (question pattern, negative) tokens;
+    ``scored`` memoises each (question row, gold row)'s scored negatives;
     pass the same dict only to calls with the same, unchanged ``model``.
+    ``score_pair`` runs once per distinct (question row, negative row) of
+    the lists a call scores.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    if scores is None:
-        scores = {}
-    out: list[PatternPairSample] = []
-    for qp, cls, _gold, negatives in pool:
-        scored = []
-        for neg in negatives:
-            key = (qp.tokens, neg.tokens)
-            if key not in scores:
-                scores[key] = score_pair(qp.tokens, neg.tokens, model)
-            scored.append((neg, scores[key]))
-        for neg in select_by_rank(scored, rng, hard_count, easy_count, threshold):
-            out.append(PatternPairSample(qp=qp, lfp=neg, label=0, sketch_class=cls))
-    return out
+    if scored is None:
+        scored = {}
+    probs: dict[tuple[int, int], float] = {}
+    picks = []
+    for q, gold, negatives in questions:
+        ranked = scored.get((q, gold))
+        if ranked is None:
+            for neg in negatives:
+                if (q, neg) not in probs:
+                    probs[q, neg] = score_pair(patterns[q], patterns[neg], model)
+            ranked = scored[q, gold] = [(neg, probs[q, neg]) for neg in negatives]
+        picks.append(select_by_rank(ranked, rng, hard_count, easy_count, threshold))
+    return negative_pairs([q for q, _, _ in questions], picks)
 
 
 @dataclass
@@ -337,7 +329,8 @@ class MatcherEnsemble:
 
 def _train_pairs_epoch(
     model: MatcherModel,
-    pairs: list[tuple[np.ndarray, np.ndarray, int]],
+    pairs: np.ndarray,
+    bags: np.ndarray,
     opt: AdamState,
     shuffler: np.random.Generator,
 ) -> float:
@@ -345,26 +338,11 @@ def _train_pairs_epoch(
     order = shuffler.permutation(len(pairs))
     total = 0.0
     for start in range(0, len(order), BATCH_SIZE):
-        batch = [pairs[i] for i in order[start : start + BATCH_SIZE]]
+        batch = pairs[order[start : start + BATCH_SIZE]]
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        total += pair_loss_grads(model, batch, grads) * len(batch)
+        total += pair_loss_grads(model, batch, bags, grads) * len(batch)
         learn.step(params, grads, opt)
     return total / max(1, len(pairs))
-
-
-def _encode_pairs(
-    vocab: Vocab,
-    samples: Iterable[PatternPairSample],
-    encoded: dict[lf.TokenSeq, np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Id arrays per pair; ``encoded`` memoises each distinct pattern's ids."""
-
-    def ids(tokens: lf.TokenSeq) -> np.ndarray:
-        if tokens not in encoded:
-            encoded[tokens] = vocab.encode(tokens)
-        return encoded[tokens]
-
-    return [(ids(s.qp.tokens), ids(s.lfp.tokens), s.label) for s in samples]
 
 
 def train_matcher_ensemble(
@@ -373,55 +351,69 @@ def train_matcher_ensemble(
     cfg: MatcherConfig | None = None,
 ) -> MatcherEnsemble:
     """Base model on uniform in-class negatives, then refits on ranking-resampled
-    negatives seeded from the base model; members are averaged at scoring time."""
+    negatives seeded from the base model; members are averaged at scoring time.
+
+    Each distinct pattern is one row of a bag matrix built once, and every
+    epoch's pairs are an (n, 3) int array of (question row, LF row, label):
+    the positives first, then each question's negatives in turn.
+    """
     cfg = cfg or MatcherConfig()
     if not train.samples:
         raise EmptyCorpus("cannot train a matcher on an empty corpus")
 
-    questions = []  # (qp, class, gold lfp, full negative pool)
-    for sample in train:
-        qp, lfp = sample_pattern_pair(sample)
-        negatives = [
-            e.pattern
-            for e in index.patterns(sample.sketch_class)
-            if e.pattern.tokens != lfp.tokens
-        ]
-        questions.append((qp, sample.sketch_class, lfp, negatives))
+    rows: dict[lf.TokenSeq, int] = {}  # pattern tokens -> bag row
 
-    vocab = Vocab.build(
-        [q.tokens for q, _, _, _ in questions]
-        + [entry.pattern.tokens for entries in index.by_class.values() for entry in entries]
-    )
+    def row(tokens: lf.TokenSeq) -> int:
+        return rows.setdefault(tokens, len(rows))
+
+    pattern_pairs = [sample_pattern_pair(sample) for sample in train]
+    q_rows = [row(qp.tokens) for qp, _ in pattern_pairs]
+    for entries in index.by_class.values():
+        for entry in entries:
+            row(entry.pattern.tokens)
+    vocab = Vocab.build(list(rows))
+
+    questions = []  # (question row, gold row, the class's other pattern rows)
+    negatives_of: dict[tuple[str, lf.TokenSeq], list[int]] = {}
+    for sample, q, (_, gold) in zip(train, q_rows, pattern_pairs):
+        key = (sample.sketch_class, gold.tokens)
+        if key not in negatives_of:
+            entries = index.patterns(sample.sketch_class)
+            if not entries:
+                raise EmptyClass(f"no patterns for class {sample.sketch_class!r}")
+            negatives_of[key] = [
+                rows[e.pattern.tokens] for e in entries if e.pattern.tokens != gold.tokens
+            ]
+        questions.append((q, row(gold.tokens), negatives_of[key]))
+
+    patterns = list(rows)
+    bags = bag_matrix([vocab.encode(tokens) for tokens in patterns], len(vocab))
+    positives = np.array([(q, gold, 1) for q, gold, _ in questions], dtype=np.int64)
+
     base = init_matcher(vocab, cfg)
-    positives = [
-        PatternPairSample(qp=qp, lfp=gold, label=1, sketch_class=cls)
-        for qp, cls, gold, _ in questions
-    ]
-    encoded: dict[lf.TokenSeq, np.ndarray] = {}
-    pos_encoded = _encode_pairs(vocab, positives, encoded)
-
     opt = AdamState.for_params(base.params(), lr=LR)
     shuffler = np.random.default_rng(cfg.seed + 1)
     neg_rng = random.Random(cfg.seed + 2)
     for epoch in range(cfg.epochs):
-        negatives: list[PatternPairSample] = []
-        for qp, cls, gold, _ in questions:
-            negatives.extend(sample_negatives(qp, cls, gold, index, NEGATIVES, neg_rng))
-        pairs = pos_encoded + _encode_pairs(vocab, negatives, encoded)
-        loss = _train_pairs_epoch(base, pairs, opt, shuffler)
+        picks = [
+            negs if len(negs) <= NEGATIVES else neg_rng.sample(negs, NEGATIVES)
+            for _, _, negs in questions
+        ]
+        pairs = np.concatenate([positives, negative_pairs(q_rows, picks)])
+        loss = _train_pairs_epoch(base, pairs, bags, opt, shuffler)
         logger.info("matcher base epoch %d: loss %.4f", epoch, loss)
 
     members = [base]
     # base is fixed from here on, so every refit epoch reuses its scores.
-    base_scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] = {}
+    base_scored: dict[tuple[int, int], list[tuple[int, float]]] = {}
     for refit_idx in range(cfg.refits):
         refit = base.clone()
         opt = AdamState.for_params(refit.params(), lr=LR)
         refit_rng = random.Random(cfg.seed + 100 + refit_idx)
         for epoch in range(cfg.refit_epochs):
-            resampled = ranking_resample(base, questions, refit_rng, scores=base_scores)
-            pairs = pos_encoded + _encode_pairs(vocab, resampled, encoded)
-            loss = _train_pairs_epoch(refit, pairs, opt, shuffler)
+            resampled = ranking_resample(base, questions, patterns, refit_rng, scored=base_scored)
+            pairs = np.concatenate([positives, resampled])
+            loss = _train_pairs_epoch(refit, pairs, bags, opt, shuffler)
             logger.info("matcher refit %d epoch %d: loss %.4f", refit_idx, epoch, loss)
         members.append(refit)
     return MatcherEnsemble(members=members)

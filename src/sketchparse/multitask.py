@@ -25,8 +25,9 @@ LABELS = ("b", "i", "o", "p")
 L_B, L_I, L_O, L_P = range(4)
 
 
-# Questions are cut to their first MAX_LEN tokens, in training and at parse
-# time, which also bounds what one question can cost.
+# Training and the classify/label functions read a question's first MAX_LEN
+# tokens, which bounds what one question can cost; pipeline.parse refuses a
+# longer question with a diagnostic rather than parse a cut one.
 MAX_LEN = 64
 
 

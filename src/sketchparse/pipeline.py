@@ -262,7 +262,19 @@ class Parse:
 
 
 def parse(question_tokens: lf.TokenSeq, system: ParserSystem) -> Parse:
-    """Classify the sketch, label spans, fill the class's templates, score and rank."""
+    """Classify the sketch, label spans, fill the class's templates, score and rank.
+
+    A question longer than ``multitask.MAX_LEN`` tokens gets no candidates
+    and a diagnostic, since the models read no further.
+    """
+    if len(question_tokens) > multitask.MAX_LEN:
+        return Parse(
+            "",
+            [],
+            [],
+            f"question has {len(question_tokens)} tokens; "
+            f"the parser reads at most {multitask.MAX_LEN}",
+        )
     model = system.multitask
     probs = multitask.classify_sketch(question_tokens, model)
     sketch_class = model.classes[int(np.argmax(probs))]
@@ -466,7 +478,7 @@ def predict(question: str, system: ParserSystem) -> str:
 
 def predict_detailed(question: str, system: ParserSystem) -> dict:
     """The ranked candidates with their scores, or an empty prediction with a
-    diagnostic when the question is blank or no candidate fits."""
+    diagnostic when the question is blank or too long or no candidate fits."""
     try:
         tokens = lf.tokenize_question(question)
     except lf.EmptyInput as exc:

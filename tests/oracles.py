@@ -5,15 +5,23 @@ a sketch or template, ranking every same-class pattern)."""
 
 from __future__ import annotations
 
+import random
 import warnings
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from sketchparse import genscore, learn, lf, matchers, multitask, pipeline
 from sketchparse.data import Corpus
-from sketchparse.learn import LinearHead
-from sketchparse.matchers import CooccurrenceModel, MatcherEnsemble, MatcherModel, PatternIndex
+from sketchparse.learn import AdamState, LinearHead, Vocab
+from sketchparse.matchers import (
+    CooccurrenceModel,
+    MatcherConfig,
+    MatcherEnsemble,
+    MatcherModel,
+    PatternIndex,
+)
 from sketchparse.pipeline import FusionWeights
 
 
@@ -80,6 +88,185 @@ def pair_loss_grads(
     for g in grads.values():
         g /= n
     return total / n
+
+
+# The matcher trainer as one object per (question pattern, LF pattern) pair:
+# each pair a PatternPairSample, each batch's bag matrix built from the pairs'
+# ragged id lists, each question's negatives rescored in every resample.
+
+
+@dataclass(frozen=True)
+class PatternPairSample:
+    qp: lf.QuestionPattern
+    lfp: lf.LfPattern
+    label: int
+    sketch_class: str
+
+
+def ragged_pair_loss_grads(
+    model: MatcherModel,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray, int]],
+    grads: dict[str, np.ndarray],
+) -> float:
+    """matchers.pair_loss_grads over (qp ids, lfp ids, label) pairs, with the
+    batch's bag matrix built from their id lists."""
+    n = len(pairs)
+    if n == 0:
+        return 0.0
+    emb = model.encoder.embedding
+    a_ids, b_ids, labels = zip(*pairs)
+    seqs = a_ids + b_ids
+    lengths = np.array([len(ids) for ids in seqs])
+    bag = np.zeros((2 * n, len(emb)))
+    np.add.at(
+        bag,
+        (np.repeat(np.arange(2 * n), lengths), np.concatenate(seqs)),
+        np.repeat(1.0 / lengths, lengths),
+    )
+    means = bag @ emb
+    a, b = means[:n], means[n:]
+    feats, logits = matchers.pair_logits(a, b, model.head)
+    labels = np.array(labels)
+    rows = np.arange(n)
+    total = -float(learn.log_softmax(logits)[rows, labels].sum())
+    d_logits = learn.softmax(logits)
+    d_logits[rows, labels] -= 1.0
+    grads["head_w"] += d_logits.T @ feats
+    grads["head_b"] += d_logits.sum(axis=0)
+    d_feats = d_logits @ model.head.weight
+    h = emb.shape[1]
+    sign = np.sign(a - b)
+    d_a = d_feats[:, :h] + sign * d_feats[:, 2 * h : 3 * h] + b * d_feats[:, 3 * h :]
+    d_b = d_feats[:, h : 2 * h] - sign * d_feats[:, 2 * h : 3 * h] + a * d_feats[:, 3 * h :]
+    grads["embedding"] += bag.T @ np.concatenate([d_a, d_b])
+    for g in grads.values():
+        g /= n
+    return total / n
+
+
+def sample_negatives(
+    qp: lf.QuestionPattern,
+    gold_class: str,
+    gold_pattern: lf.LfPattern,
+    index: PatternIndex,
+    k: int,
+    rng: random.Random | int,
+) -> list[PatternPairSample]:
+    """Up to k uniform non-gold patterns from the gold sketch class."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    entries = index.patterns(gold_class)
+    if not entries:
+        raise matchers.EmptyClass(f"no patterns for class {gold_class!r}")
+    pool = [e.pattern for e in entries if e.pattern.tokens != gold_pattern.tokens]
+    if len(pool) > k:
+        pool = rng.sample(pool, k)
+    return [
+        PatternPairSample(qp=qp, lfp=p, label=0, sketch_class=gold_class) for p in pool
+    ]
+
+
+def ranking_resample(
+    model: MatcherModel,
+    pool: Sequence[tuple[lf.QuestionPattern, str, lf.LfPattern, Sequence[lf.LfPattern]]],
+    rng: random.Random,
+    scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float],
+) -> list[PatternPairSample]:
+    """Per question: rebuild its scored negative list from ``scores`` (which
+    memoises score_pair by tokens) and keep the ranking-sampled picks."""
+    out: list[PatternPairSample] = []
+    for qp, cls, _gold, negatives in pool:
+        scored = []
+        for neg in negatives:
+            key = (qp.tokens, neg.tokens)
+            if key not in scores:
+                scores[key] = matchers.score_pair(qp.tokens, neg.tokens, model)
+            scored.append((neg, scores[key]))
+        for neg in matchers.select_by_rank(scored, rng):
+            out.append(PatternPairSample(qp=qp, lfp=neg, label=0, sketch_class=cls))
+    return out
+
+
+def _encode_pairs(
+    vocab: Vocab,
+    samples: Iterable[PatternPairSample],
+    encoded: dict[lf.TokenSeq, np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Id arrays per pair; ``encoded`` memoises each distinct pattern's ids."""
+
+    def ids(tokens: lf.TokenSeq) -> np.ndarray:
+        if tokens not in encoded:
+            encoded[tokens] = vocab.encode(tokens)
+        return encoded[tokens]
+
+    return [(ids(s.qp.tokens), ids(s.lfp.tokens), s.label) for s in samples]
+
+
+def _train_pairs_epoch(
+    model: MatcherModel,
+    pairs: list[tuple[np.ndarray, np.ndarray, int]],
+    opt: AdamState,
+    shuffler: np.random.Generator,
+) -> None:
+    params = model.params()
+    order = shuffler.permutation(len(pairs))
+    for start in range(0, len(order), matchers.BATCH_SIZE):
+        batch = [pairs[i] for i in order[start : start + matchers.BATCH_SIZE]]
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        ragged_pair_loss_grads(model, batch, grads)
+        learn.step(params, grads, opt)
+
+
+def train_matcher_ensemble(
+    train: Corpus, index: PatternIndex, cfg: MatcherConfig
+) -> MatcherEnsemble:
+    """matchers.train_matcher_ensemble on PatternPairSample objects."""
+    questions = []  # (qp, class, gold lfp, full negative pool)
+    for sample in train:
+        qp, lfp = matchers.sample_pattern_pair(sample)
+        negatives = [
+            e.pattern
+            for e in index.patterns(sample.sketch_class)
+            if e.pattern.tokens != lfp.tokens
+        ]
+        questions.append((qp, sample.sketch_class, lfp, negatives))
+
+    vocab = Vocab.build(
+        [q.tokens for q, _, _, _ in questions]
+        + [entry.pattern.tokens for entries in index.by_class.values() for entry in entries]
+    )
+    base = matchers.init_matcher(vocab, cfg)
+    positives = [
+        PatternPairSample(qp=qp, lfp=gold, label=1, sketch_class=cls)
+        for qp, cls, gold, _ in questions
+    ]
+    encoded: dict[lf.TokenSeq, np.ndarray] = {}
+    pos_encoded = _encode_pairs(vocab, positives, encoded)
+
+    opt = AdamState.for_params(base.params(), lr=matchers.LR)
+    shuffler = np.random.default_rng(cfg.seed + 1)
+    neg_rng = random.Random(cfg.seed + 2)
+    for _ in range(cfg.epochs):
+        negatives: list[PatternPairSample] = []
+        for qp, cls, gold, _ in questions:
+            negatives.extend(
+                sample_negatives(qp, cls, gold, index, matchers.NEGATIVES, neg_rng)
+            )
+        pairs = pos_encoded + _encode_pairs(vocab, negatives, encoded)
+        _train_pairs_epoch(base, pairs, opt, shuffler)
+
+    members = [base]
+    base_scores: dict[tuple[lf.TokenSeq, lf.TokenSeq], float] = {}
+    for refit_idx in range(cfg.refits):
+        refit = base.clone()
+        opt = AdamState.for_params(refit.params(), lr=matchers.LR)
+        refit_rng = random.Random(cfg.seed + 100 + refit_idx)
+        for _ in range(cfg.refit_epochs):
+            resampled = ranking_resample(base, questions, refit_rng, base_scores)
+            pairs = pos_encoded + _encode_pairs(vocab, resampled, encoded)
+            _train_pairs_epoch(refit, pairs, opt, shuffler)
+        members.append(refit)
+    return MatcherEnsemble(members=members)
 
 
 def top_candidate(

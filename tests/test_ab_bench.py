@@ -15,12 +15,18 @@ METRICS = [
     {"name": "train_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "parse_qps", "unit": "1/s", "better": "higher", "bound": 0.25},
 ]
+PER_LAYER = [
+    {"name": "train.matchers.pair_loss_grads_s", "unit": "s", "better": "lower"},
+    {"name": "train.matchers.pairs_trained", "unit": "count", "better": "lower"},
+]
 
 
 def checkout(root: Path) -> Path:
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text("")
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (root / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS, "per_layer": PER_LAYER})
+    )
     return root
 
 
@@ -42,9 +48,9 @@ class FakeRuns:
         self.per_side = {side: list(results) for side, results in per_side.items()}
         self.calls = []
 
-    def __call__(self, checkout, workload, seed, seconds):
+    def __call__(self, checkout, workload, seed, seconds, trace):
         side = "parent" if checkout == self.parent_dir else "change"
-        self.calls.append((side, workload, seed, seconds))
+        self.calls.append((side, workload, seed, seconds, trace))
         return self.per_side[side].pop(0)
 
 
@@ -63,7 +69,7 @@ def test_alternates_order_and_summarises(dirs, capsys):
             "--seconds", "0"]
     assert ab_bench.main(argv, run=runs) == 0
     assert [c[0] for c in runs.calls] == ["parent", "change", "change", "parent"] * 2
-    assert all(c[1:] == ("w", 3, 0.0) for c in runs.calls)
+    assert all(c[1:] == ("w", 3, 0.0, 0) for c in runs.calls)
 
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     train, qps = summary["rows"]
@@ -92,3 +98,49 @@ def test_checkout_without_bench_rejected(dirs, tmp_path):
     parent, _ = dirs
     with pytest.raises(SystemExit):
         ab_bench.main([str(parent), str(tmp_path), "--workload", "w", "--pairs", "1"])
+
+
+def traced(grads_s, pairs, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {"train.matchers.pair_loss_grads_s": {"value": grads_s, "unit": "s"},
+                    "train.matchers.pairs_trained": {"value": pairs, "unit": "count"}},
+    }
+
+
+def test_trace_runs_traced_and_summarises_per_layer(dirs, capsys):
+    parent, change = dirs
+    runs = FakeRuns(parent, {
+        "parent": [traced(0.6, 100), traced(0.5, 100), traced(0.7, 100)],
+        "change": [traced(0.4, 100), traced(0.45, 100), traced(0.8, 100)],
+    })
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--trace", "1"]
+    assert ab_bench.main(argv, run=runs) == 0
+    assert all(c[4] == 1 for c in runs.calls)
+
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["trace"] == 1
+    grads, pairs = summary["rows"]
+    assert grads["name"] == "train.matchers.pair_loss_grads_s"
+    assert grads["parent_median"] == pytest.approx(0.6)
+    assert grads["change_median"] == pytest.approx(0.45)
+    assert grads["ratio"] == pytest.approx(0.75)
+    assert grads["parent_iqr"] == pytest.approx(0.65 - 0.55)
+    assert grads["wins"] == 2  # pair 3 (0.7 vs 0.8) is lost
+    assert pairs["ratio"] == 1.0 and pairs["wins"] == 0 and pairs["pairs"] == 3
+
+
+def test_trace_flag_reaches_bench_run(dirs, monkeypatch):
+    parent, _ = dirs
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps(traced(0.5, 10)) + "\n"
+        stderr = ""
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda cmd, **kw: seen.append(cmd) or Done)
+    assert ab_bench.run_bench(parent, "w", 3, 0.0, 1)["metrics"]
+    assert seen[0][seen[0].index("--trace") + 1] == "1"

@@ -26,6 +26,7 @@ from sketchparse.multitask import crf_nll_grad, viterbi
 from sketchparse.pipeline import FusionWeights, SampleOutcome, compute_metrics
 from tests.oracles import substitute_sketch, substitute_template, top_candidate
 from tests.test_learn import assert_close_grads, central_difference
+from tests.test_matchers import as_rows
 
 BIG_CONFIG = GenConfig(
     classes=(
@@ -164,12 +165,13 @@ def test_c3_gradient_checks():
                 int(rng.integers(0, 2)),
             )
         ]
+        rows, bags = as_rows(pairs, len(vocab))
         params = model.params()
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        pair_loss_grads(model, pairs, grads)
+        pair_loss_grads(model, rows, bags, grads)
         numeric = central_difference(
             lambda: pair_loss_grads(
-                model, pairs, {k: np.zeros_like(v) for k, v in params.items()}
+                model, rows, bags, {k: np.zeros_like(v) for k, v in params.items()}
             ),
             params,
         )

@@ -12,6 +12,7 @@ import pytest
 from sketchparse import cli
 from sketchparse.data import load_jsonl
 from sketchparse.lf import parse_logical_form
+from sketchparse.multitask import MAX_LEN
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,25 @@ class TestTrainPredictEvaluate:
             assert record["predicted_logical_form"] == ""
             assert record["candidates"] == [] and record["diagnostic"]
         assert records[2]["predicted_logical_form"] and "diagnostic" not in records[2]
+
+    def test_overlong_question_gets_a_diagnostic(self, workspace, tmp_path):
+        _, data_dir, model_dir = workspace
+        question = load_jsonl(data_dir / "test.jsonl").samples[0].question
+        overlong = " ".join(["filler"] * (MAX_LEN + 1))
+        in_path, out_path = tmp_path / "long.jsonl", tmp_path / "long_pred.jsonl"
+        in_path.write_text(
+            "".join(json.dumps({"question": q}) + "\n" for q in (overlong, question))
+        )
+        rc = cli.main(
+            ["predict", "--model", str(model_dir), "--input", str(in_path), "--out", str(out_path)]
+        )
+        assert rc == 0
+        first, second = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert first["predicted_logical_form"] == "" and first["candidates"] == []
+        assert first["diagnostic"] == (
+            f"question has {MAX_LEN + 1} tokens; the parser reads at most {MAX_LEN}"
+        )
+        assert second["predicted_logical_form"] and "diagnostic" not in second
 
     def test_delimiter_questions_keep_going(self, workspace, tmp_path):
         _, data_dir, model_dir = workspace

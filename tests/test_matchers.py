@@ -15,6 +15,7 @@ from sketchparse.matchers import (
     MatcherConfig,
     MatcherEnsemble,
     PatternIndex,
+    bag_matrix,
     build_cooccurrence,
     build_pattern_index,
     extract_pred_entity_pairs,
@@ -22,7 +23,6 @@ from sketchparse.matchers import (
     init_matcher,
     pair_loss_grads,
     ranking_resample,
-    sample_negatives,
     sample_pattern_pair,
     score_candidate_pe,
     score_pair,
@@ -74,6 +74,8 @@ class TestPatternIndex:
 
 
 class TestSampleNegatives:
+    """The reference trainer's uniform negatives (oracles.sample_negatives)."""
+
     def make_index(self, n_patterns: int) -> tuple[PatternIndex, lf.LfPattern]:
         index = PatternIndex()
         entries = [
@@ -89,25 +91,25 @@ class TestSampleNegatives:
     def test_gold_only_class_yields_nothing(self):
         index, gold = self.make_index(1)
         qp = lf.QuestionPattern(("q", "entity1"))
-        assert sample_negatives(qp, "cls", gold, index, 5, 0) == []
+        assert oracles.sample_negatives(qp, "cls", gold, index, 5, 0) == []
 
     def test_small_class_is_clamped(self):
         index, gold = self.make_index(4)
         qp = lf.QuestionPattern(("q",))
-        negatives = sample_negatives(qp, "cls", gold, index, 5, 0)
+        negatives = oracles.sample_negatives(qp, "cls", gold, index, 5, 0)
         assert len(negatives) == 3
 
     def test_empty_class_raises(self):
         index, gold = self.make_index(1)
         with pytest.raises(matchers.EmptyClass):
-            sample_negatives(lf.QuestionPattern(("q",)), "nope", gold, index, 5, 0)
+            oracles.sample_negatives(lf.QuestionPattern(("q",)), "nope", gold, index, 5, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_gold_never_sampled(self, seed):
         index, gold = self.make_index(8)
         qp = lf.QuestionPattern(("q",))
-        for neg in sample_negatives(qp, "cls", gold, index, 5, seed):
+        for neg in oracles.sample_negatives(qp, "cls", gold, index, 5, seed):
             assert neg.lfp.tokens != gold.tokens
             assert neg.label == 0
             assert neg.sketch_class == "cls"
@@ -115,10 +117,19 @@ class TestSampleNegatives:
     def test_uniform_without_replacement(self):
         index, gold = self.make_index(10)
         qp = lf.QuestionPattern(("q",))
-        negatives = sample_negatives(qp, "cls", gold, index, 6, 123)
+        negatives = oracles.sample_negatives(qp, "cls", gold, index, 6, 123)
         tokens = [n.lfp.tokens for n in negatives]
         assert len(tokens) == 6
         assert len(set(tokens)) == 6
+
+
+def as_rows(pairs, vocab_size):
+    """Ragged (a ids, b ids, label) pairs as pair_loss_grads takes them: the
+    (n, 3) rows (i, n + i, label) and the bag matrix of the 2n id lists."""
+    n = len(pairs)
+    bags = bag_matrix([a for a, _, _ in pairs] + [b for _, b, _ in pairs], vocab_size)
+    rows = np.array([(i, n + i, label) for i, (_, _, label) in enumerate(pairs)])
+    return rows.reshape(n, 3), bags
 
 
 def off_the_abs_kink(model, pair, margin=1e-3):
@@ -160,12 +171,13 @@ class TestScorePair:
             ]
             pairs.append((np.array([2, 2, 3]), np.array([4]), 1))  # a repeated id
             pairs = [pair for pair in pairs if off_the_abs_kink(model, pair)]
+            rows, bags = as_rows(pairs, len(vocab))
             params = model.params()
             grads = {k: np.zeros_like(v) for k, v in params.items()}
-            pair_loss_grads(model, pairs, grads)
+            pair_loss_grads(model, rows, bags, grads)
             numeric = central_difference(
                 lambda: pair_loss_grads(
-                    model, pairs, {k: np.zeros_like(v) for k, v in params.items()}
+                    model, rows, bags, {k: np.zeros_like(v) for k, v in params.items()}
                 ),
                 params,
             )
@@ -194,7 +206,7 @@ class TestBatchedPairLoss:
         model.head.bias = rng.normal(size=model.head.bias.shape)
         pairs = [(np.array(a), np.array(b), label) for a, b, label in raw_pairs]
         batched, looped = zero_grads(model), zero_grads(model)
-        loss = pair_loss_grads(model, pairs, batched)
+        loss = pair_loss_grads(model, *as_rows(pairs, len(vocab)), batched)
         assert abs(loss - oracles.pair_loss_grads(model, pairs, looped)) <= 1e-12
         for name, grad in looped.items():
             assert np.max(np.abs(batched[name] - grad)) <= 1e-12, name
@@ -202,7 +214,7 @@ class TestBatchedPairLoss:
     def test_empty_batch_is_free(self):
         model = init_matcher(Vocab.build([["a"]]), MatcherConfig(hidden=3))
         grads = zero_grads(model)
-        assert pair_loss_grads(model, [], grads) == 0.0
+        assert pair_loss_grads(model, np.zeros((0, 3), np.int64), np.zeros((0, 3)), grads) == 0.0
         assert all(not g.any() for g in grads.values())
 
 
@@ -271,26 +283,31 @@ class TestRankingSampling:
         vocab = Vocab.build([["q", "x", "y"]])
         model = init_matcher(vocab, MatcherConfig(hidden=4, seed=0))
         # zero model scores everything 0.5 > 1e-4, so every negative is hard
-        qp = lf.QuestionPattern(("q",))
-        negatives = [pattern("x", str(i)) for i in range(30)]
-        out = ranking_resample(model, [(qp, "cls", pattern("y"), negatives)], 7)
-        assert len(out) == 20
-        assert all(s.label == 0 and s.sketch_class == "cls" for s in out)
+        patterns = [("q",), ("y",)] + [("x", str(i)) for i in range(30)]
+        negatives = list(range(2, 32))
+        out = ranking_resample(model, [(0, 1, negatives)], patterns, 7)
+        assert out.shape == (20, 3)
+        assert (out[:, 0] == 0).all() and (out[:, 2] == 0).all()
+        assert set(out[:, 1]) <= set(negatives)
 
     def test_shared_scores_are_kept_per_question_pattern(self):
         vocab = Vocab.build([["q", "r", "x", "y", "0", "1", "2"]])
         model = init_matcher(vocab, MatcherConfig(hidden=4, seed=0))
         model.head.weight = np.random.default_rng(5).normal(size=model.head.weight.shape)
-        negatives = [pattern("x", str(i)) for i in range(3)]
-        pool = [
-            (lf.QuestionPattern((q,)), "cls", pattern("y"), negatives) for q in ("q", "r")
-        ]
+        patterns = [("q",), ("r",), ("y",)] + [("x", str(i)) for i in range(3)]
+        pool = [(q, 2, [3, 4, 5]) for q in (0, 1)]
         kwargs = dict(hard_count=1, easy_count=1, threshold=0.5)
-        scores = {}
-        first = ranking_resample(model, pool, 3, **kwargs, scores=scores)
-        assert len(scores) == 6
-        assert ranking_resample(model, pool, 3, **kwargs, scores=scores) == first
-        assert ranking_resample(model, pool, 3, **kwargs) == first
+        scored = {}
+        first = ranking_resample(model, pool, patterns, 3, **kwargs, scored=scored)
+        assert sorted(scored) == [(0, 2), (1, 2)]
+        for q in (0, 1):
+            assert scored[q, 2] == [
+                (neg, score_pair(patterns[q], patterns[neg], model)) for neg in (3, 4, 5)
+            ]
+        assert scored[0, 2] != scored[1, 2]
+        again = ranking_resample(model, pool, patterns, 3, **kwargs, scored=scored)
+        assert np.array_equal(again, first)
+        assert np.array_equal(ranking_resample(model, pool, patterns, 3, **kwargs), first)
 
 
 @pytest.fixture(scope="module")
@@ -318,11 +335,11 @@ class TestMatcherTraining:
         monkeypatch.setattr(
             matchers,
             "ranking_resample",
-            lambda *args, scores=None, **kwargs: ranking_resample(*args, **kwargs),
+            lambda *args, scored=None, **kwargs: ranking_resample(*args, **kwargs),
         )
         scored.clear()
         rescored = train_matcher_ensemble(train, index, cfg)
-        # Memoised: each distinct pair once; rescoring: every pair in all 4 calls.
+        # Memoised: each distinct pair once; rescoring: every pair in each of the 4 calls.
         assert len(memo_scored) == len(set(memo_scored)) > 0
         assert set(memo_scored) == set(scored)
         assert 4 * len(memo_scored) <= len(scored)
@@ -367,6 +384,93 @@ class TestMatcherTraining:
             qp, gold = sample_pattern_pair(sample)
             p = ensemble.score(qp.tokens, [gold.tokens])[0]
             assert 0.0 < p < 1.0
+
+
+def relation_sample(question, predicate, entity):
+    tokens = question.split()
+    at = tokens.index(entity)
+    return make_sample(
+        question=question,
+        logical_form=f"( lambda ?x ( {predicate} {entity} ?x ) )",
+        params=[lf.ParamAnnotation(entity, "entity", (at, at))],
+        question_type="single-relation",
+    )
+
+
+def hand_built_corpus() -> Corpus:
+    """One class of 27 LF patterns (more than NEGATIVES), a question pattern
+    shared by two gold LF patterns, and repeated tokens on both sides."""
+    samples = [
+        relation_sample(f"what is the r{i} of e{j}", f"mso:rel.r{i}.value", f"e{j}")
+        for i in range(26)
+        for j in range(3)
+    ]
+    samples.append(relation_sample("tell me about e0", "mso:rel.r0.value", "e0"))
+    samples.append(relation_sample("tell me about e1", "mso:rel.r1.value", "e1"))
+    samples.append(relation_sample("film film director of e2", "mso:film.film.film_director", "e2"))
+    return Corpus(samples=samples)
+
+
+def assert_same_members(mine, theirs):
+    for a, b in zip(mine.members, theirs.members, strict=True):
+        assert a.vocab.tokens == b.vocab.tokens
+        for name, value in a.params().items():
+            assert np.array_equal(value, b.params()[name]), name
+
+
+class TestTrainerOracle:
+    """train_matcher_ensemble against the object-based reference trainer."""
+
+    def test_fixture_corpus_members_equal_reference(self, small_splits):
+        train, _, _ = small_splits
+        index = build_pattern_index(train)
+        cfg = MatcherConfig(seed=3)
+        assert_same_members(
+            train_matcher_ensemble(train, index, cfg),
+            oracles.train_matcher_ensemble(train, index, cfg),
+        )
+
+    def test_hand_built_corpus_members_equal_reference(self, monkeypatch):
+        train = hand_built_corpus()
+        index = build_pattern_index(train)
+        pairs = [sample_pattern_pair(s) for s in train]
+        (entries,) = index.by_class.values()
+        assert len(entries) > matchers.NEGATIVES
+        golds_of = {}
+        for qp, gold in pairs:
+            golds_of.setdefault(qp.tokens, set()).add(gold.tokens)
+        assert max(len(golds) for golds in golds_of.values()) == 2
+        assert any(len(set(p.tokens)) < len(p.tokens) for pair in pairs for p in pair)
+
+        cfg = MatcherConfig(hidden=16, epochs=1, seed=5)
+        scored = []  # the (question pattern, negative) of every score_pair call
+        score_pair_ = matchers.score_pair
+        monkeypatch.setattr(
+            matchers, "score_pair", lambda *args: scored.append(args[:2]) or score_pair_(*args)
+        )
+        ensemble = train_matcher_ensemble(train, index, cfg)
+        monkeypatch.undo()
+        assert_same_members(ensemble, oracles.train_matcher_ensemble(train, index, cfg))
+        # The shared question pattern's negatives are scored once, not once per gold.
+        assert len(scored) == len(set(scored))
+        # Some question has more hard negatives under the base than HARD_COUNT.
+        base = ensemble.members[0]
+        hard = max(
+            sum(
+                score_pair(qp.tokens, e.pattern.tokens, base) > matchers.HARD_THRESHOLD
+                for e in entries
+                if e.pattern.tokens != gold.tokens
+            )
+            for qp, gold in pairs
+        )
+        assert hard > matchers.HARD_COUNT
+
+    def test_class_missing_from_index_raises(self, small_splits):
+        train, _, _ = small_splits
+        index = build_pattern_index(train)
+        del index.by_class[train.samples[0].sketch_class]
+        with pytest.raises(matchers.EmptyClass):
+            train_matcher_ensemble(train, index, MatcherConfig(hidden=4))
 
 
 def nested_groups(tokens):

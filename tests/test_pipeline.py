@@ -452,6 +452,30 @@ class TestEndToEnd:
         }
         assert predict(question, trained_system) == ""
 
+    def test_question_at_the_token_cap_parses(self, trained_system, small_splits, monkeypatch):
+        _, _, test = small_splits
+        tokens = test.samples[0].question_tokens
+        question = " ".join(["filler"] * (multitask.MAX_LEN - len(tokens)) + list(tokens))
+        assert len(lf.tokenize_question(question)) == multitask.MAX_LEN
+        detail = predict_detailed(question, trained_system)
+        assert "at most" not in detail.get("diagnostic", "")
+        monkeypatch.setattr(multitask, "MAX_LEN", 2 * multitask.MAX_LEN)
+        assert predict_detailed(question, trained_system) == detail
+
+    @pytest.mark.parametrize("fillers", [multitask.MAX_LEN - 6, 70])  # 65 and 77 tokens
+    def test_question_over_the_token_cap_yields_diagnostic(self, trained_system, fillers):
+        question = " ".join(["filler"] * fillers) + " what is birth date for chris pine"
+        n = fillers + 7
+        assert predict_detailed(question, trained_system) == {
+            "predicted_logical_form": "",
+            "sketch_class": "",
+            "spans": [],
+            "candidates": [],
+            "diagnostic": f"question has {n} tokens; the parser reads at most {multitask.MAX_LEN}",
+        }
+        result = parse(lf.tokenize_question(question), trained_system)
+        assert result.ranked == [] and result.diagnostic
+
     def test_callers_agree_with_parse(self, trained_system, small_splits):
         _, dev, test = small_splits
         for sample in (dev.samples + test.samples)[:20]:
