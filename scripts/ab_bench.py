@@ -9,6 +9,9 @@ side runs first in each pair so that drift on the host falls on both sides
 alike. From each run's last JSON line it prints, for every end-to-end metric
 of the change's BENCHMARK.json: both medians, both interquartile ranges, the
 ratio change/parent of the medians and the number of pairs the change won.
+Beside ``peak_rss_mb`` it prints each side's median pass count (attempted
+questions over the stream size), since the bench's peak RSS grows with the
+passes that fit into ``--seconds``.
 With ``--trace 1`` each run is traced and the same summary covers the
 ``per_layer`` metrics instead, so a per-layer shift is read over N traced
 runs a side rather than one. Exits 1 if any run is not ``correct`` or has
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -47,7 +51,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; its last JSON line."""
+    """One ``bench/run.py`` run in ``checkout``: its last JSON line, plus
+    ``parse_questions`` (the stream size) from its ``properties:`` line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -57,7 +62,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
             f"ab_bench: {checkout}: bench/run.py exited {proc.returncode} with no JSON line\n"
             + proc.stderr[-2000:]
         )
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    found = re.search(r"^properties:.*\bparse_questions=(\d+)", proc.stdout, re.MULTILINE)
+    result["parse_questions"] = int(found.group(1))
+    return result
+
+
+def passes(result: dict) -> float:
+    """The parse passes a run made: attempted questions over the stream
+    size. The bench's peak_rss_mb grows with them."""
+    return result["attempted"] / result["parse_questions"]
 
 
 def iqr(values: list[float]) -> float:
@@ -107,15 +121,20 @@ def main(argv: list[str] | None = None, run: Callable[..., dict] = run_bench) ->
                 f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()), flush=True)
 
     rows = summarise(spec["per_layer" if args.trace else "end_to_end"], runs)
+    median_passes = {side: statistics.median(map(passes, runs[side])) for side in SIDES}
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, trace {args.trace}, "
           "medians [IQR], ratio change/parent, pairs the change won")
     width = max(len(r["name"]) for r in rows)
     for r in rows:
-        print(f"  {r['name']:<{width}} {r['parent_median']:>11.5g} [{r['parent_iqr']:.3g}]"
-              f" -> {r['change_median']:>11.5g} [{r['change_iqr']:.3g}] {r['unit']:<5}"
-              f" ratio {r['ratio']:.3f}  won {r['wins']}/{r['pairs']} ({r['better']} is better)")
+        line = (f"  {r['name']:<{width}} {r['parent_median']:>11.5g} [{r['parent_iqr']:.3g}]"
+                f" -> {r['change_median']:>11.5g} [{r['change_iqr']:.3g}] {r['unit']:<5}"
+                f" ratio {r['ratio']:.3f}  won {r['wins']}/{r['pairs']} ({r['better']} is better)")
+        if r["name"] == "peak_rss_mb":
+            line += (f"  passes {median_passes['parent']:.3g} -> {median_passes['change']:.3g}"
+                     " (median attempted / stream size)")
+        print(line)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "trace": args.trace,
-                      "rows": rows}))
+                      "passes": median_passes, "rows": rows}))
     for line in bad:
         print(f"ab_bench: run not correct: {line}", file=sys.stderr)
     return 1 if bad else 0

@@ -25,35 +25,42 @@ class AllZeroLosses(UserWarning):
     pass
 
 
-def split_logical_form(tokens: Sequence[str]) -> list[str]:
-    """Split compound entity/predicate tokens into plain words.
+def split_token(token: str) -> tuple[str, ...]:
+    """The plain words of one logical-form token: a numeric literal stays
+    whole; any other token containing ':', '.' or '_' is split on those
+    characters with the namespace piece dropped."""
+    if not (":" in token or "." in token or "_" in token) or lf.is_numeric(token):
+        return (token,)
+    return tuple(lf.split_compound(token))
 
-    Numeric literals are kept whole; every other token containing ':', '.' or
-    '_' is split on those characters with the namespace piece dropped. The
-    operation is idempotent.
-    """
+
+def split_logical_form(tokens: Sequence[str]) -> list[str]:
+    """Split compound entity/predicate tokens into plain words, token by
+    token (``split_token``). The operation is idempotent."""
     out: list[str] = []
     for tok in tokens:
-        if lf.is_numeric(tok):
-            out.append(tok)
-        elif any(ch in tok for ch in ":._"):
-            out.extend(lf.split_compound(tok))
-        else:
-            out.append(tok)
+        out += split_token(tok)
     return out
 
 
-def split_pool(pool: Sequence[Sequence[str]]) -> list[list[str]]:
-    """``split_logical_form`` of every candidate, splitting each distinct
-    token of the pool once."""
-    words: dict[str, list[str]] = {}
+def split_pool(
+    pool: Sequence[tuple[Sequence[str], Sequence[Sequence[str]], Sequence[int]]],
+) -> list[list[str]]:
+    """``split_logical_form`` of every candidate of the pool, given as
+    (tokens, template words, slot positions): the template's words around
+    its slots already split (``PatternEntry.words`` and ``slot_positions``),
+    so only the tokens at the slots are split, each distinct one once."""
+    slot_words: dict[str, tuple[str, ...]] = {}
     out = []
-    for tokens in pool:
-        split: list[str] = []
-        for tok in tokens:
-            if tok not in words:
-                words[tok] = split_logical_form((tok,))
-            split.extend(words[tok])
+    for tokens, words, slots in pool:
+        split = list(words[0])
+        for pos, after in zip(slots, words[1:]):
+            tok = tokens[pos]
+            filler = slot_words.get(tok)
+            if filler is None:
+                filler = slot_words[tok] = split_token(tok)
+            split += filler
+            split += after
         out.append(split)
     return out
 

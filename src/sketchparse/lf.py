@@ -142,10 +142,6 @@ def entity_slot(token: str) -> int:
     return int(m.group(1)) if m else 0
 
 
-def is_entity_slot(token: str) -> bool:
-    return entity_slot(token) > 0
-
-
 def split_turns(tokens: Sequence[str]) -> list[TokenSeq]:
     turns: list[TokenSeq] = []
     current: list[str] = []
@@ -326,28 +322,3 @@ def derive_template(
 
 def span_surface(question: TokenSeq, span: tuple[int, int]) -> str:
     return "_".join(question[span[0] : span[1] + 1])
-
-
-def numeric_positions(tokens: Sequence[str]) -> list[int]:
-    """Positions of numeric literals, i.e. the value slots of a template."""
-    return [i for i, tok in enumerate(tokens) if is_numeric(tok)]
-
-
-def isa_argument_positions(tokens: Sequence[str]) -> list[int]:
-    """Positions of type arguments: non-variable atoms inside a group headed by "isa"."""
-    positions: list[int] = []
-    stack: list[list[bool]] = []  # per open group: [head is isa, head seen]
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            stack.append([False, False])
-        elif tok == ")":
-            if stack:
-                stack.pop()
-        elif stack:
-            frame = stack[-1]
-            if not frame[1]:
-                frame[1] = True
-                frame[0] = tok == "isa"
-            elif frame[0] and not tok.startswith("?") and not is_numeric(tok):
-                positions.append(i)
-    return positions

@@ -8,11 +8,11 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Collection, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from . import learn, lf
+from . import genscore, learn, lf
 from .data import Corpus, EmptyCorpus, Sample
 from .learn import AdamState, EncoderParams, LinearHead, Vocab
 
@@ -35,24 +35,70 @@ class PatternEntry:
     pattern: lf.LfPattern
     template: lf.LfTemplate
     freq: int = 1
-    # The template's slots, found once when the entry is built: entity slots
-    # as (position, filler index) pairs, value and type slots as positions.
+    # Found in one pass over the template when the entry is built, so each
+    # question only places and splits its fillers. Slots: entity slots as
+    # (position, filler index) pairs, value slots (numeric literals) and type
+    # slots (non-variable isa arguments) as positions.
     entity_positions: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     value_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
     type_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The split words (genscore.split_logical_form) of the tokens around the
+    # slots: words[0], then the slot at slot_positions[0], then words[1], ...
+    slot_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    words: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    # Member positions of each non-empty parenthesized group, in the order the
+    # groups close: the groups extract_pred_entity_pairs pairs within.
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = self.template.tokens
         arity = self.template.entity_arity
-        self.entity_positions = tuple(
-            (i, k - 1) for i, tok in enumerate(tokens) if (k := lf.entity_slot(tok))
-        )
-        if any(k >= arity for _, k in self.entity_positions):
-            raise ValueError(f"template {' '.join(tokens)!r} has a slot beyond its arity {arity}")
-        self.value_positions = tuple(lf.numeric_positions(tokens))
-        self.type_positions = tuple(
-            i for i in lf.isa_argument_positions(tokens) if not lf.is_entity_slot(tokens[i])
-        )
+        entity, values, types, slots, groups = [], [], [], [], []
+        words: list[tuple[str, ...]] = []
+        run: list[str] = []
+        stack: list[list] = []  # per open group: [member positions, head seen, head is isa]
+        for i, tok in enumerate(tokens):
+            if tok == "(":
+                stack.append([[], False, False])
+                run.append(tok)
+                continue
+            if tok == ")":
+                if stack and (members := stack.pop()[0]):
+                    groups.append(tuple(members))
+                run.append(tok)
+                continue
+            isa_argument = False
+            if stack:
+                frame = stack[-1]
+                frame[0].append(i)
+                if frame[1]:
+                    isa_argument = frame[2] and not tok.startswith("?")
+                else:
+                    frame[1], frame[2] = True, tok == "isa"
+            # The prefix tests skip the regular expressions for most tokens.
+            if tok.startswith("entity") and (k := lf.entity_slot(tok)):
+                if k > arity:
+                    raise ValueError(
+                        f"template {' '.join(tokens)!r} has a slot beyond its arity {arity}"
+                    )
+                entity.append((i, k - 1))
+            elif (tok[:1] == "-" or tok[:1].isdigit()) and lf.is_numeric(tok):
+                values.append(i)
+            elif isa_argument:
+                types.append(i)
+            else:
+                run += genscore.split_token(tok)
+                continue
+            slots.append(i)
+            words.append(tuple(run))
+            run = []
+        words.append(tuple(run))
+        self.entity_positions = tuple(entity)
+        self.value_positions = tuple(values)
+        self.type_positions = tuple(types)
+        self.slot_positions = tuple(slots)
+        self.words = tuple(words)
+        self.groups = tuple(groups)
 
 
 @dataclass
@@ -556,11 +602,35 @@ def fit_pe_head(head: LinearHead, feats: np.ndarray, labels: np.ndarray, seed: i
 
 
 def score_candidate_pe(
-    tokens: Sequence[str], entity_surfaces: Iterable[str], model: CooccurrenceModel
-) -> float:
-    """Mean pair probability over a candidate's (predicate, entity) pairs;
-    candidates with no pairs score a neutral 0.5."""
-    pairs = extract_pred_entity_pairs(tokens, entity_surfaces)
-    if not pairs:
-        return 0.5
-    return float(np.mean([model.memo_pair_prob(p, e) for p, e in pairs]))
+    pool: Sequence[tuple[Sequence[str], Collection[str], Sequence[Sequence[int]]]],
+    model: CooccurrenceModel,
+) -> np.ndarray:
+    """Per candidate of the pool, given as (tokens, entity surfaces, groups):
+    the mean pair probability over its (predicate, entity) pairs, or a
+    neutral 0.5 without pairs. ``groups`` holds the member positions of each
+    parenthesized group in the order the groups close (``PatternEntry.groups``
+    of the candidate's template), so the pairs are ``extract_pred_entity_pairs``'.
+
+    One pass collects every candidate's pair probabilities; the candidates
+    with n pairs then get their means from one (candidates, n) row sum.
+    """
+    scores = np.full(len(pool), 0.5)
+    by_count: dict[int, tuple[list[int], list[float]]] = {}
+    prob = model.memo_pair_prob
+    for i, (tokens, surfaces, groups) in enumerate(pool):
+        row: list[float] = []
+        for members in groups:
+            group = [tokens[j] for j in members]
+            ents = [t for t in group if t in surfaces]
+            if ents:
+                row += [
+                    prob(p, e) for p in group if p.startswith(lf.PREDICATE_PREFIX) for e in ents
+                ]
+        if row:
+            rows, values = by_count.setdefault(len(row), ([], []))
+            rows.append(i)
+            values += row
+    for n, (rows, values) in by_count.items():
+        # np.mean's sum and division, one row per candidate.
+        scores[rows] = np.add.reduce(np.array(values).reshape(len(rows), n), axis=1) / n
+    return scores

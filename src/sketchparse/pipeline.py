@@ -5,12 +5,13 @@ metrics, and system training plus checkpoint persistence."""
 from __future__ import annotations
 
 import dataclasses
+import glob
 import itertools
 import logging
 import os
 import re
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -26,6 +27,7 @@ from .matchers import (
     MatcherConfig,
     MatcherEnsemble,
     MatcherModel,
+    PatternEntry,
     PatternIndex,
 )
 from .multitask import MultiTaskConfig, MultiTaskModel
@@ -58,9 +60,15 @@ PATTERN_ONLY = FusionWeights(1.0, 0.0, 0.0)
 @dataclass
 class Candidate:
     tokens: lf.TokenSeq
-    pattern: lf.LfPattern
+    # The first index entry whose template fills to these tokens; scoring
+    # reads its pattern, words and groups.
+    entry: PatternEntry
     entity_fillers: tuple[str, ...]
     freq: int
+
+    @property
+    def pattern(self) -> lf.LfPattern:
+        return self.entry.pattern
 
     @property
     def text(self) -> str:
@@ -180,7 +188,7 @@ def generate_candidates_from(
         if key not in seen:
             seen[key] = Candidate(
                 tokens=key,
-                pattern=entry.pattern,
+                entry=entry,
                 entity_fillers=tuple(entity_fillers),
                 freq=entry.freq,
             )
@@ -220,30 +228,28 @@ def score_components(
         system.gen,
         question_tokens,
         sketch_class,
-        genscore.split_pool([c.tokens for c in candidates]),
+        genscore.split_pool([(c.tokens, c.entry.words, c.entry.slot_positions) for c in candidates]),
     )
     pattern = system.matcher.score(qp.tokens, [c.pattern.tokens for c in candidates]).tolist()
+    pe = matchers.score_candidate_pe(
+        [(c.tokens, c.entity_fillers, c.entry.groups) for c in candidates], system.cooccurrence
+    ).tolist()
     return [
-        ScoredCandidate(
-            candidate=cand,
-            pattern_score=ps,
-            pe_score=matchers.score_candidate_pe(
-                cand.tokens, cand.entity_fillers, system.cooccurrence
-            ),
-            gen_score=g,
-        )
-        for cand, ps, g in zip(candidates, pattern, gen)
+        ScoredCandidate(cand, ps, pes, gs)
+        for cand, ps, pes, gs in zip(candidates, pattern, pe, gen)
     ]
 
 
 def rank(scored: Sequence[ScoredCandidate], weights: FusionWeights) -> list[ScoredCandidate]:
     """Fuse and sort descending; ties break on pattern frequency then text."""
+    w_pattern, w_pe, w_gen = weights.w_pattern, weights.w_pe, weights.w_gen
     fused = [
-        replace(
-            s,
-            fused=weights.w_pattern * s.pattern_score
-            + weights.w_pe * s.pe_score
-            + weights.w_gen * s.gen_score,
+        ScoredCandidate(
+            s.candidate,
+            s.pattern_score,
+            s.pe_score,
+            s.gen_score,
+            w_pattern * s.pattern_score + w_pe * s.pe_score + w_gen * s.gen_score,
         )
         for s in scored
     ]
@@ -587,7 +593,8 @@ def save_system(system: ParserSystem, model_dir: str | Path) -> None:
         _write_checkpoint(system, staging)
         if model_dir.is_dir():
             # Between these two renames the old checkpoint sits under the
-            # retired name, complete.
+            # retired name, complete; load_system names it if a kill leaves
+            # it there.
             retired = staging.with_name(staging.name + ".old")
             os.replace(model_dir, retired)
             os.replace(staging, model_dir)
@@ -813,9 +820,18 @@ def _check_arrays(
 
 def load_system(model_dir: str | Path) -> ParserSystem:
     """Rebuild a saved system. Raises CheckpointError when the directory's
-    files disagree with each other or a JSON file is not of its shape; the
-    manifest and arrays are checked before anything is built."""
+    files disagree with each other or a JSON file is not of its shape, or
+    when the directory is missing because a save that was replacing it was
+    interrupted; the manifest and arrays are checked before anything is
+    built."""
     model_dir = Path(model_dir)
+    if not model_dir.exists():
+        retired = sorted(model_dir.parent.glob(f".{glob.escape(model_dir.name)}.*.partial.old"))
+        if retired:
+            raise learn.CheckpointError(
+                f"{model_dir} is missing: a save was interrupted while replacing it, and "
+                f"the previous checkpoint is in {', '.join(map(str, retired))}"
+            )
     manifest = learn.load_json(model_dir / MANIFEST_NAME)
     cfg = _check_manifest(manifest, model_dir / MANIFEST_NAME)
     arrays = learn.load_arrays(model_dir / ARRAYS_NAME)

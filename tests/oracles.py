@@ -5,6 +5,7 @@ a sketch or template, ranking every same-class pattern)."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import warnings
 from dataclasses import dataclass
@@ -56,6 +57,41 @@ def substitute_template(template: lf.LfTemplate, fillers: Sequence[str]) -> lf.L
         else:
             out.append(tok)
     return lf.parse_logical_form(" ".join(out))
+
+
+def numeric_positions(tokens: Sequence[str]) -> list[int]:
+    """Positions of numeric literals, i.e. the value slots of a template."""
+    return [i for i, tok in enumerate(tokens) if lf.is_numeric(tok)]
+
+
+def isa_argument_positions(tokens: Sequence[str]) -> list[int]:
+    """Positions of type arguments: non-variable atoms inside a group headed by "isa"."""
+    positions: list[int] = []
+    stack: list[list[bool]] = []  # per open group: [head is isa, head seen]
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append([False, False])
+        elif tok == ")":
+            if stack:
+                stack.pop()
+        elif stack:
+            frame = stack[-1]
+            if not frame[1]:
+                frame[1] = True
+                frame[0] = tok == "isa"
+            elif frame[0] and not tok.startswith("?") and not lf.is_numeric(tok):
+                positions.append(i)
+    return positions
+
+
+def entry_slots(
+    template: lf.LfTemplate,
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """PatternEntry's entity, value and type slots, one scan per kind."""
+    tokens = template.tokens
+    entity = tuple((i, k - 1) for i, tok in enumerate(tokens) if (k := lf.entity_slot(tok)))
+    types = tuple(i for i in isa_argument_positions(tokens) if not lf.entity_slot(tokens[i]))
+    return entity, tuple(numeric_positions(tokens)), types
 
 
 def pair_loss_grads(
@@ -267,6 +303,22 @@ def train_matcher_ensemble(
             _train_pairs_epoch(refit, pairs, opt, shuffler)
         members.append(refit)
     return MatcherEnsemble(members=members)
+
+
+def rank(
+    scored: Sequence[pipeline.ScoredCandidate], weights: FusionWeights
+) -> list[pipeline.ScoredCandidate]:
+    """pipeline.rank with each fused candidate made by ``dataclasses.replace``."""
+    fused = [
+        dataclasses.replace(
+            s,
+            fused=weights.w_pattern * s.pattern_score
+            + weights.w_pe * s.pe_score
+            + weights.w_gen * s.gen_score,
+        )
+        for s in scored
+    ]
+    return sorted(fused, key=lambda s: (-s.fused, -s.candidate.freq, s.candidate.text))
 
 
 def top_candidate(

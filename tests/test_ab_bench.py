@@ -35,6 +35,7 @@ def result(train_s, qps, correct=True, failed=0):
         "correct": correct,
         "attempted": 10,
         "failed": failed,
+        "parse_questions": 10,
         "metrics": {"train_s": {"value": train_s, "unit": "s"},
                     "parse_qps": {"value": qps, "unit": "1/s"}},
     }
@@ -105,6 +106,7 @@ def traced(grads_s, pairs, correct=True, failed=0):
         "correct": correct,
         "attempted": 10,
         "failed": failed,
+        "parse_questions": 10,
         "metrics": {"train.matchers.pair_loss_grads_s": {"value": grads_s, "unit": "s"},
                     "train.matchers.pairs_trained": {"value": pairs, "unit": "count"}},
     }
@@ -138,9 +140,55 @@ def test_trace_flag_reaches_bench_run(dirs, monkeypatch):
 
     class Done:
         returncode = 0
-        stdout = json.dumps(traced(0.5, 10)) + "\n"
+        stdout = "properties: parse_questions=10, passes=1\n" + json.dumps(traced(0.5, 10)) + "\n"
         stderr = ""
 
     monkeypatch.setattr(ab_bench.subprocess, "run", lambda cmd, **kw: seen.append(cmd) or Done)
     assert ab_bench.run_bench(parent, "w", 3, 0.0, 1)["metrics"]
     assert seen[0][seen[0].index("--trace") + 1] == "1"
+
+
+def rss_result(rss_mb, attempted):
+    return {
+        "correct": True,
+        "attempted": attempted,
+        "failed": 0,
+        "parse_questions": 1000,
+        "metrics": {"peak_rss_mb": {"value": rss_mb, "unit": "MB"}},
+    }
+
+
+def test_pass_counts_printed_beside_peak_rss(tmp_path, capsys):
+    rss = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+    parent, change = checkout(tmp_path / "parent"), checkout(tmp_path / "change")
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": rss, "per_layer": []}))
+    runs = FakeRuns(parent, {
+        "parent": [rss_result(50.0, 14000), rss_result(50.2, 15000), rss_result(50.1, 14000)],
+        "change": [rss_result(50.4, 16000), rss_result(50.6, 17000), rss_result(50.5, 16000)],
+    })
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "3"]
+    assert ab_bench.main(argv, run=runs) == 0
+
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["passes"] == {"parent": 14.0, "change": 16.0}
+    (row,) = [ln for ln in lines if ln.lstrip().startswith("peak_rss_mb")]
+    assert "passes 14 -> 16" in row
+
+
+def test_stream_size_read_from_properties_line(dirs, monkeypatch):
+    parent, _ = dirs
+
+    class Done:
+        returncode = 0
+        stdout = (
+            "workload w seed 3\n"
+            "properties: train_questions=4000, parse_questions=1000, passes=7\n"
+            + json.dumps(result(2.0, 100.0)) + "\n"
+        )
+        stderr = ""
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda cmd, **kw: Done)
+    out = ab_bench.run_bench(parent, "w", 3, 0.0, 0)
+    assert out["parse_questions"] == 1000
+    assert ab_bench.passes({**out, "attempted": 7000}) == 7.0

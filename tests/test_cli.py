@@ -264,6 +264,22 @@ class TestExitCodes:
             assert rc == 2
             assert f"format_version {version}," in capsys.readouterr().err
 
+    def test_interrupted_save_is_two(self, workspace, tmp_path, capsys):
+        _, data_dir, model_dir = workspace
+        retired = tmp_path / ".model.0123456789ab.partial.old"
+        shutil.copytree(model_dir, retired)
+        rc = cli.main(
+            [
+                "predict",
+                "--model", str(tmp_path / "model"),
+                "--input", str(data_dir / "test.jsonl"),
+                "--out", str(tmp_path / "out.jsonl"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(retired) in err
+
     def test_inconsistent_checkpoint_is_two(self, workspace, checkpoint_edit, tmp_path, capsys):
         _, data_dir, model_dir = workspace
         edit, array_name = checkpoint_edit

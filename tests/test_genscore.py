@@ -22,6 +22,8 @@ from sketchparse.genscore import (
     split_logical_form,
     split_pool,
 )
+from sketchparse.lf import LfPattern, LfTemplate
+from sketchparse.matchers import PatternEntry
 from tests import oracles
 
 BIRTH_TOKENS = tuple(
@@ -189,7 +191,10 @@ class TestPoolScoring:
 
     def test_split_pool_matches_per_candidate_split(self):
         pool = [BIRTH_TOKENS, BIRTH_TOKENS[::-1], ("argmore", "3.5", "mso:a.b_c")]
-        assert split_pool(pool) == [split_logical_form(tokens) for tokens in pool]
+        entries = [PatternEntry(LfPattern(()), LfTemplate(tokens, 0)) for tokens in pool]
+        assert split_pool(
+            [(tokens, e.words, e.slot_positions) for tokens, e in zip(pool, entries)]
+        ) == [split_logical_form(tokens) for tokens in pool]
 
 
 class TestGenModel:

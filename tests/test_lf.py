@@ -287,7 +287,7 @@ class TestInvariants:
 
 class TestSlotHelpers:
     def test_numeric_positions(self):
-        assert lf.numeric_positions(("(", "argmax", "3", "x", "4.5", ")")) == [2, 4]
+        assert oracles.numeric_positions(("(", "argmax", "3", "x", "4.5", ")")) == [2, 4]
 
     def test_numeric_rejects_words(self):
         assert not lf.is_numeric("nan")
@@ -298,10 +298,10 @@ class TestSlotHelpers:
 
     def test_isa_argument_positions(self):
         tokens = tuple("( and ( isa ?x movie ) ( mso:a.b ?x ?y ) )".split())
-        assert lf.isa_argument_positions(tokens) == [5]
+        assert oracles.isa_argument_positions(tokens) == [5]
 
     def test_entity_slot(self):
-        assert lf.is_entity_slot("entity1")
-        assert lf.is_entity_slot("entity12")
-        assert not lf.is_entity_slot("entity")
-        assert not lf.is_entity_slot("entity0")
+        assert lf.entity_slot("entity1") == 1
+        assert lf.entity_slot("entity12") == 12
+        assert lf.entity_slot("entity") == 0
+        assert lf.entity_slot("entity0") == 0

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchparse import lf, matchers
+from sketchparse import genscore, lf, matchers
 from sketchparse.data import Corpus, EmptyCorpus, make_sample
 from sketchparse.learn import LinearHead, Vocab
 from sketchparse.matchers import (
     CooccurrenceConfig,
+    CooccurrenceModel,
     MatcherConfig,
     MatcherEnsemble,
+    PatternEntry,
     PatternIndex,
     bag_matrix,
     build_cooccurrence,
@@ -71,6 +73,112 @@ class TestPatternIndex:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             build_pattern_index(Corpus(samples=[]))
+
+
+# Template tokens and fillers for filled candidates: fillers may equal a
+# fixed template token ("lambda", "?x", "isa") or start with "mso:".
+TEMPLATE_TOKEN = st.sampled_from(
+    ["(", "(", ")", ")", "lambda", "?x", "?y", "isa", "and", "mso:a.b_c", "mso:d.e",
+     "film.film", "book", "x_y", "entity1", "entity2", "3", "-2.5"]
+)
+FILLER = st.sampled_from(
+    ["greta_kim", "bob_lee", "lambda", "?x", "isa", "mso:a.b_c", "mso:new.pred_x", "x_y", "b.c"]
+)
+VALUE = st.sampled_from(["7", "-1.5", "3", "12"])
+
+
+@st.composite
+def filled_candidate(draw):
+    """(entry, filled tokens, entity fillers): a random template with its
+    slots filled at the positions the entry records."""
+    tokens = tuple(draw(st.lists(TEMPLATE_TOKEN, min_size=1, max_size=16)))
+    arity = max(map(lf.entity_slot, tokens))
+    entry = PatternEntry(pattern=pattern("p"), template=lf.LfTemplate(tokens, arity))
+    fillers = tuple(draw(st.lists(FILLER, min_size=arity, max_size=arity, unique=True)))
+    filled = list(tokens)
+    for pos, k in entry.entity_positions:
+        filled[pos] = fillers[k]
+    for pos in entry.value_positions:
+        filled[pos] = draw(VALUE)
+    for pos in entry.type_positions:
+        filled[pos] = draw(FILLER)
+    return entry, tuple(filled), fillers
+
+
+def hand_built_cooccurrence() -> CooccurrenceModel:
+    """Counts over FILLER and TEMPLATE_TOKEN names and a random head, so that
+    the pair probabilities differ."""
+    rng = np.random.default_rng(3)
+    return CooccurrenceModel(
+        pair_counts={("mso:a.b_c", "greta_kim"): 3, ("mso:d.e", "lambda"): 1, ("mso:a.b_c", "?x"): 2},
+        pred_counts={"mso:a.b_c": 5, "mso:d.e": 1, "mso:new.pred_x": 2},
+        ent_counts={"greta_kim": 3, "lambda": 1, "?x": 2, "isa": 4},
+        head=LinearHead(rng.normal(size=(2, 5)), rng.normal(size=2)),
+    )
+
+
+class TestTemplateRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(TEMPLATE_TOKEN, min_size=1, max_size=20).map(tuple))
+    def test_one_pass_slots_match_per_kind_scans(self, tokens):
+        arity = max(map(lf.entity_slot, tokens))
+        entry = PatternEntry(pattern=pattern("p"), template=lf.LfTemplate(tokens, arity))
+        assert (
+            entry.entity_positions, entry.value_positions, entry.type_positions
+        ) == oracles.entry_slots(entry.template)
+        slots = {pos for pos, _ in entry.entity_positions}
+        assert entry.slot_positions == tuple(
+            sorted(slots | set(entry.value_positions) | set(entry.type_positions))
+        )
+
+    def test_slot_beyond_arity_rejected(self):
+        with pytest.raises(ValueError, match="beyond its arity 1"):
+            PatternEntry(pattern("p"), lf.LfTemplate(("(", "entity2", ")"), 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(filled_candidate(), min_size=1, max_size=30))
+    def test_split_words_match_per_candidate_split(self, pool):
+        got = genscore.split_pool(
+            [(tokens, entry.words, entry.slot_positions) for entry, tokens, _ in pool]
+        )
+        assert got == [genscore.split_logical_form(tokens) for _, tokens, _ in pool]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(filled_candidate(), min_size=1, max_size=30))
+    def test_pool_pe_equals_per_candidate_oracle(self, pool):
+        model = hand_built_cooccurrence()
+        got = score_candidate_pe(
+            [(tokens, fillers, entry.groups) for entry, tokens, fillers in pool], model
+        ).tolist()
+        assert got == [
+            oracles.score_candidate_pe(tokens, fillers, model) for _, tokens, fillers in pool
+        ]
+
+    def test_pool_pe_covers_odd_fillers_and_pairless_candidates(self):
+        model = hand_built_cooccurrence()
+        template = tuple("( lambda ?x ( mso:a.b_c entity1 ?x ) ( isa ?x book ) )".split())
+        entry = PatternEntry(pattern("p"), lf.LfTemplate(template, 1))
+        assert entry.type_positions == (11,)
+        pool = []
+        for fillers, kind in ((("lambda",), "book"), (("?x",), "mso:new.pred_x"), (("mso:d.e",), "x")):
+            tokens = list(template)
+            tokens[5], tokens[11] = fillers[0], kind
+            pool.append((tuple(tokens), fillers, entry.groups))
+        pairless = tuple("( lambda ?x ( isa ?x book ) )".split())
+        pool.append((pairless, ("greta_kim",), pe_entry(pairless).groups))
+        many = tuple("( mso:a.b_c mso:d.e ?x ?x lambda ?x mso:new.pred_x ?x ?x ?x )".split())
+        pool.append((many, ("?x",), pe_entry(many).groups))
+        oracle = [oracles.score_candidate_pe(t, f, model) for t, f, _ in pool]
+        # "?x" as the filler also pairs with the template's own "?x" tokens; a
+        # "mso:" type filler is a predicate; 18 pairs exceed numpy's 8-term blocks.
+        assert [len(oracles.matchers.extract_pred_entity_pairs(t, f)) for t, f, _ in pool] == [
+            1, 3, 2, 0, 18,
+        ]
+        assert oracle[3] == 0.5
+        assert score_candidate_pe(pool, model).tolist() == oracle
+
+    def test_empty_pool(self):
+        assert score_candidate_pe([], hand_built_cooccurrence()).shape == (0,)
 
 
 class TestSampleNegatives:
@@ -513,6 +621,17 @@ def oracle_pairs(tokens, surfaces):
     return found
 
 
+def pe_entry(tokens) -> PatternEntry:
+    """An index entry whose template is ``tokens`` itself, with no entity slots."""
+    return PatternEntry(pattern=lf.LfPattern(()), template=lf.LfTemplate(tuple(tokens), 0))
+
+
+def pe_of_one(tokens, surfaces, model) -> float:
+    """``score_candidate_pe`` of a one-candidate pool whose template is the
+    candidate's own tokens."""
+    return score_candidate_pe([(tokens, surfaces, pe_entry(tokens).groups)], model)[0]
+
+
 class TestCooccurrence:
     def test_reference_sample_pair(self):
         model = build_cooccurrence(Corpus(samples=[BIRTH_SAMPLE]))
@@ -567,7 +686,7 @@ class TestCooccurrence:
     def test_pairless_candidate_neutral(self, small_splits):
         train, _, _ = small_splits
         model = build_cooccurrence(train)
-        assert score_candidate_pe(("(", "a", "b", ")"), [], model) == 0.5
+        assert pe_of_one(("(", "a", "b", ")"), [], model) == 0.5
 
     def test_memo_equals_pair_prob_for_unseen_names(self, small_splits):
         train, _, _ = small_splits
@@ -598,7 +717,7 @@ class TestCooccurrence:
             for _ in range(rng.randint(1, 3)):
                 tokens += ["(", rng.choice(preds), rng.choice(surfaces), "?x", ")"]
             tokens.append(")")
-            assert score_candidate_pe(tokens, surfaces, model) == oracles.score_candidate_pe(
+            assert pe_of_one(tokens, surfaces, model) == oracles.score_candidate_pe(
                 tokens, surfaces, model
             )
 
@@ -607,7 +726,7 @@ class TestCooccurrence:
         model = build_cooccurrence(train)
         tokens = tuple("( and ( mso:a.b e1 ) ( mso:c.d e2 ) )".split())
         expected = (model.pair_prob("mso:a.b", "e1") + model.pair_prob("mso:c.d", "e2")) / 2
-        assert score_candidate_pe(tokens, ["e1", "e2"], model) == pytest.approx(expected)
+        assert pe_of_one(tokens, ["e1", "e2"], model) == pytest.approx(expected)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import random
 
 import numpy as np
@@ -201,14 +202,25 @@ class TestGenerateCandidates:
         assert len({c.tokens for c in candidates}) == len(candidates)
 
 
+def plain_entry(tokens: lf.TokenSeq, pattern: lf.TokenSeq) -> PatternEntry:
+    """An index entry whose template is ``tokens`` itself, with no entity slots."""
+    return PatternEntry(pattern=lf.LfPattern(pattern), template=lf.LfTemplate(tokens, 0))
+
+
 def scored(tokens: str, ps: float, pe: float = 0.5, gs: float = 0.5, freq: int = 1):
     toks = tuple(tokens.split())
     return ScoredCandidate(
-        candidate=Candidate(tokens=toks, pattern=lf.LfPattern(toks), entity_fillers=(), freq=freq),
+        candidate=Candidate(
+            tokens=toks, entry=plain_entry(toks, toks), entity_fillers=(), freq=freq
+        ),
         pattern_score=ps,
         pe_score=pe,
         gen_score=gs,
     )
+
+
+# Few distinct scores, so fused scores tie often.
+TIED_SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
 
 
 class TestRank:
@@ -240,6 +252,22 @@ class TestRank:
         after = [s.candidate.text for s in rank(boosted, weights)].index("gold")
         assert after <= before
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "a b", "b a", "c"]),
+                TIED_SCORES, TIED_SCORES, TIED_SCORES, st.integers(1, 3),
+            ),
+            max_size=40,
+        ),
+        weights=st.sampled_from(grid_points()),
+    )
+    def test_matches_replace_based_reference_on_ties(self, pool, weights):
+        items = [scored(text, ps, pe, gs, freq) for text, ps, pe, gs, freq in pool]
+        assert rank(items, weights) == oracles.rank(items, weights)
+        assert all(s.fused == 0.0 for s in items)  # the inputs are left as they were
+
     def test_weights_must_be_simplex(self):
         with pytest.raises(ValueError):
             FusionWeights(0.5, 0.5, 0.5)
@@ -249,7 +277,6 @@ class TestRank:
 
 # Few distinct forms, scores and frequencies, so fused scores tie often.
 FORMS = st.sampled_from([("a",), ("b",), ("a", "b"), ("a b",), ("b", "a")])
-TIED_SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
 PACKED = st.tuples(FORMS, TIED_SCORES, TIED_SCORES, TIED_SCORES, st.integers(1, 3))
 
 
@@ -578,13 +605,13 @@ class TestScoreComponents:
             + ["mso:never.seen"] + ents
         )
         candidate = st.builds(
-            Candidate,
-            tokens=st.lists(lf_token, min_size=1, max_size=14).map(tuple),
-            pattern=st.lists(words, min_size=1, max_size=10).map(
-                lambda t: lf.LfPattern(tuple(t))
+            lambda tokens, pattern, fillers, freq: Candidate(
+                tokens, plain_entry(tokens, pattern), fillers, freq
             ),
-            entity_fillers=st.lists(st.sampled_from(ents), max_size=2).map(tuple),
-            freq=st.integers(1, 3),
+            st.lists(lf_token, min_size=1, max_size=14).map(tuple),
+            st.lists(words, min_size=1, max_size=10).map(tuple),
+            st.lists(st.sampled_from(ents), max_size=2).map(tuple),
+            st.integers(1, 3),
         )
         pool = data.draw(
             st.lists(candidate, min_size=1, max_size=60, unique_by=lambda c: c.tokens)
@@ -735,6 +762,36 @@ class TestPersistence:
         assert {p.name: p.read_bytes() for p in model_dir.iterdir()} == before
         assert load_system(model_dir).weights == trained_system.weights
         assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+    def test_interrupted_replace_names_the_retired_checkpoint(
+        self, trained_system, tmp_path, monkeypatch
+    ):
+        model_dir = tmp_path / "model"
+        save_system(trained_system, model_dir)
+        before = {p.name: p.read_bytes() for p in model_dir.iterdir()}
+        replace, renames = os.replace, []
+
+        def killed_at_second_rename(src, dst):
+            renames.append((src, dst))
+            if len(renames) == 2:
+                raise OSError("killed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_at_second_rename)
+        with pytest.raises(OSError, match="killed"):
+            save_system(trained_system, model_dir)
+        monkeypatch.undo()
+        (retired,) = tmp_path.glob(".model.*.partial.old")
+        assert renames[0] == (model_dir.resolve(), retired.resolve())
+        assert not model_dir.exists()
+        assert {p.name: p.read_bytes() for p in retired.iterdir()} == before
+        with pytest.raises(learn.CheckpointError, match="interrupted") as caught:
+            load_system(model_dir)
+        assert str(retired) in str(caught.value)
+
+    def test_missing_directory_without_retired_checkpoint(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_system(tmp_path / "model")
 
     def test_resave_replaces_checkpoint(self, trained_system, tmp_path):
         model_dir = tmp_path / "model"
